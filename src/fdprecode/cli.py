@@ -131,11 +131,18 @@ def _load_sets(options):
 
 def _threads(options) -> int:
     if "threads" in options:
-        return int(options["threads"])
-    env = os.environ.get("FDPRECODE_THREADS")
-    if env:
-        return int(env)
-    return os.cpu_count() or 1
+        name, value = "threads", options["threads"]
+    else:
+        name, value = "FDPRECODE_THREADS", os.environ.get("FDPRECODE_THREADS")
+        if not value:
+            return os.cpu_count() or 1
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        n = 0
+    if n < 1:
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
+    return n
 
 
 def write_manifest(out_path: str, command: str, config: dict, outputs: list) -> str:

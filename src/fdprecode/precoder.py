@@ -13,7 +13,7 @@ distance identity ||H F dx||^2 = ||H||_F^2 * |sum(dx)|^2.
 
 import numpy as np
 
-from .channel import CrossTerms, gram_cross_terms, gram_polar
+from .channel import CrossTerms, gram_cross_terms
 from .errors import ConfigurationError
 
 # below this magnitude the zero-crossing constraint for an antenna is vacuous
@@ -90,9 +90,3 @@ def angles_for_channel(h: np.ndarray) -> np.ndarray:
     """Convenience: feedback angles straight from a channel matrix."""
     return compute_feedback_angles(gram_cross_terms(h))
 
-
-def effective_channel_batch(h_batch: np.ndarray) -> np.ndarray:
-    """Vectorized h_eff for a (B, nr, nt) batch, angles computed per channel."""
-    rho, alpha = gram_polar(h_batch)
-    a = np.exp(1j * feedback_angles_batch(rho, alpha))
-    return np.einsum("bon,bn->bo", h_batch, a)

@@ -42,7 +42,9 @@ def raw_block(seed: int, purpose: int, point: int, start_block: int, n_blocks: i
     Returns a uint64 array of length 4 * n_blocks. Values depend only on the
     address, never on how previous blocks were grouped into calls.
     """
-    if start_block + n_blocks > (1 << (_POINT_SHIFT - 2)):
+    # the range must stay inside the position word: a carry into the lane
+    # word would replay the draws of substream(seed, purpose, point, lane)
+    if start_block < 0 or n_blocks < 0 or start_block + n_blocks > (1 << _LANE_SHIFT):
         raise ValueError("block range exceeds the per-point counter space")
     bitgen = np.random.Philox(key=seed & ((1 << 128) - 1),
                               counter=_counter(purpose, point, 0, 0) + start_block)

@@ -204,6 +204,25 @@ def test_threads_env_fallback(monkeypatch):
     assert _threads({"threads": "5"}) == 5
     monkeypatch.delenv("FDPRECODE_THREADS")
     assert _threads({}) >= 1
+    for bad in (0, -2, "0", "x", "2.5", None):
+        with pytest.raises(ConfigurationError, match="threads must be a positive integer"):
+            _threads({"threads": bad})
+    for bad in ("0", "-1", "x"):
+        monkeypatch.setenv("FDPRECODE_THREADS", bad)
+        with pytest.raises(ConfigurationError, match="FDPRECODE_THREADS"):
+            _threads({})
+
+
+def test_bad_thread_counts_exit_2(tmp_path, monkeypatch, capsys):
+    argv = ["simulate", "--preset", "3x1", "--snr", "10", "--trials", "64",
+            "--out", tmp_path / "c.csv"]
+    assert run(argv + ["--threads", "0"]) == 2
+    assert "threads must be a positive integer" in capsys.readouterr().err
+    assert run(argv + ["--threads", "-3"]) == 2
+    monkeypatch.setenv("FDPRECODE_THREADS", "x")
+    assert run(argv) == 2
+    assert "FDPRECODE_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "c.csv").exists()
 
 
 def test_dmin_pdf_manifest_rerun_identical(tmp_path):

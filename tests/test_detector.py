@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fdprecode.constellation import ConstellationSets, preset, sum_constellation
+from fdprecode.constellation import ConstellationSets, SumConstellation, preset, sum_constellation
 from fdprecode.detector import (
     FastMLDecoder,
     codeword_matrix,
@@ -143,3 +143,90 @@ def test_decode_batch_matches_scalar_decode():
     batch = dec.decode_batch(np.array(ys), np.array(hes))
     singles = [dec.decode(y, he) for y, he in zip(ys, hes)]
     assert np.array_equal(batch, singles)
+
+
+def _argmin_oracle(q, sums):
+    # plain argmin over the whole table, chunked only to bound memory
+    return np.concatenate([np.argmin(np.abs(q[lo:lo + 64, None] - sums[None, :]), axis=1)
+                           for lo in range(0, q.size, 64)])
+
+
+def _decode_queries(dec, q):
+    # with h_eff = 1 the matched-filter output is the query itself, bit for bit
+    return dec.decode_batch(q[:, None], np.ones((q.size, 1), dtype=complex))
+
+
+def _hard_queries(sums, rng, sample):
+    """Neighbour midpoints, points 3x outside the hull, 0, a huge value and
+    near-sum noise, for `sample` sums drawn from the table."""
+    base = sums[rng.choice(sums.size, size=min(sample, sums.size), replace=False)]
+    dist = np.abs(base[:, None] - sums[None, :])
+    dist[dist == 0] = np.inf
+    neighbour = sums[np.argmin(dist, axis=1)]
+    d = dist.min()
+    noise = d * (rng.standard_normal(base.size) + 1j * rng.standard_normal(base.size))
+    return np.concatenate([(base + neighbour) / 2, 3 * base, [0, 1e9 + 1e9j],
+                           base + noise, base + 0.5 * noise])
+
+
+@pytest.mark.parametrize("nt, bits, sample", [(16, 1, 512), (8, 2, 512), (8, 1, 256)])
+def test_grid_decoder_matches_argmin_on_presets(nt, bits, sample):
+    sc = sum_constellation(preset(nt, bits))
+    dec = FastMLDecoder(sc)
+    assert dec._grid is not None
+    # a sum point is its own unique nearest point (distance 0 in an injective table)
+    assert np.array_equal(_decode_queries(dec, sc.points), np.arange(sc.size))
+    q = _hard_queries(sc.points, substream(66, 0, nt, bits), sample)
+    assert np.array_equal(_decode_queries(dec, q), _argmin_oracle(q, sc.points))
+
+
+def _off_lattice_sums(kind, rng):
+    if kind == "random":
+        # four random 4-point sets: the grid would exceed the cell cap
+        sets = tuple(rng.standard_normal(4) + 1j * rng.standard_normal(4) for _ in range(4))
+    elif kind == "jittered":
+        sets = tuple(c + 1e-3 * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
+                     for c in preset(4, 2).sets)
+    else:
+        # a 12 x 12 unit lattice with a quarter of its sites removed: queries in
+        # the holes have their nearest sum outside the searched block
+        g = np.arange(12)
+        lattice = (g[:, None] + 1j * g[None, :]).ravel()
+        pts = lattice[rng.random(lattice.size) < 0.75]
+        pts = pts + 0.05 * (rng.random(pts.size) + 1j * rng.random(pts.size))
+        return SumConstellation(pts, np.zeros((pts.size, 1), dtype=np.int64), (pts.size,))
+    return sum_constellation(ConstellationSets(sets, 2))
+
+
+@pytest.mark.parametrize("kind, gridded", [("random", False), ("jittered", True), ("holes", True)])
+def test_grid_decoder_matches_argmin_off_lattice(kind, gridded):
+    rng = substream(67)
+    sc = _off_lattice_sums(kind, rng)
+    dec = FastMLDecoder(sc)
+    assert (dec._grid is not None) == gridded
+    lo, hi = sc.points.real.min() - 1, sc.points.real.max() + 1
+    spread = lo + (hi - lo) * (rng.random(20000) + 1j * rng.random(20000))
+    q = np.concatenate([sc.points, spread, _hard_queries(sc.points, rng, 256)])
+    assert np.array_equal(_decode_queries(dec, q), _argmin_oracle(q, sc.points))
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_grid_tie_break_smallest_index(sign):
+    # y = 0 against the symmetric 256-sum 8x1 table: four sums share the
+    # minimal distance, close enough to certify the grid block, and both
+    # decoders must return the smallest index among them. The mirrored table
+    # reverses the grid order of the tied sums against their index order.
+    cs = preset(8, 1)
+    cs = ConstellationSets(tuple(sign * c for c in cs.sets), cs.bits_per_symbol)
+    sc = sum_constellation(cs)
+    assert FastMLDecoder(sc)._grid is not None
+    h = np.ones((1, 8), dtype=complex)
+    a = np.ones(8, dtype=complex)
+    he = effective_channel(h, a)
+    y = np.zeros(1, dtype=complex)
+    metrics = np.abs(sc.points * he[0]) ** 2
+    minimizers = np.nonzero(metrics == metrics.min())[0]
+    assert minimizers.size > 1
+    assert np.abs(sc.points[minimizers[0]]) < 0.25  # inside the certified radius d_min
+    assert ml_decode_bruteforce(y, h, a, cs) == minimizers[0]
+    assert ml_decode_fast(y, he, sc) == minimizers[0]
