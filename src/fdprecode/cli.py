@@ -1,11 +1,16 @@
 """Configuration-driven command line for simulations and constellation tools.
 
 Subcommands: simulate, check-constellation, optimize-constellation, dmin-pdf.
-Options may come from a flat ``key = value`` config file (or a previously
-written run manifest); command-line flags always win. Every file-producing
-command writes a JSON manifest next to its outputs with the fully resolved
-configuration, so any output can be reproduced byte for byte from the
-manifest alone.
+One option table, `OPTIONS`, gives every option its parser, default and
+help; `COMMANDS` lists the options each subcommand takes. The tables build
+the flags (``--b-step`` sets ``b_step``), and `resolve_options` reads a flat
+``key = value`` config file or a previously written run manifest, whose keys
+are the option names. Keys a command does not take are rejected, flags win
+over the file, and every value, flag or file, goes through its option's
+parser. Range checks stay with the library (`SimConfig`, `GridSpec`,
+`sample_dmin_pdf`). Every file-producing command writes a JSON manifest next
+to its outputs with the resolved options, so any output can be reproduced
+byte for byte from the manifest alone.
 
 Exit codes: 0 success / check passed, 1 domain failure (diversity fail,
 infeasible design or codebook), 2 usage, configuration, or I/O error.
@@ -34,7 +39,6 @@ from .constellation import (
 )
 from .errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesignError
 from .simulator import (
-    SCHEMES,
     SimConfig,
     estimate_diversity_slope,
     ks_test_chisq,
@@ -43,11 +47,15 @@ from .simulator import (
 )
 
 _PRESET_RE = re.compile(r"^(\d+)[xX](\d+)$")
+_MAX_SNR_POINTS = 10000
 
 
 def _fmt(value) -> str:
-    """Shortest round-trip decimal for floats, plain text otherwise."""
-    if isinstance(value, float) or isinstance(value, np.floating):
+    """Text its option's parser reads back as the same value: shortest
+    round-trip decimal for floats, comma lists for tuples, plain otherwise."""
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
@@ -69,8 +77,10 @@ def parse_snr_grid(text: str):
         a, b, step = (float(p) for p in parts)
         if step <= 0 or b < a:
             raise ConfigurationError(f"SNR range needs B >= A and STEP > 0, got {text!r}")
-        n = int(np.floor((b - a) / step + 1e-9)) + 1
-        return tuple(a + i * step for i in range(n))
+        n = np.floor((b - a) / step + 1e-9) + 1
+        if not n <= _MAX_SNR_POINTS:
+            raise ConfigurationError(f"SNR range {text!r} exceeds {_MAX_SNR_POINTS} points")
+        return tuple(a + i * step for i in range(int(n)))
     return tuple(float(p) for p in text.split(","))
 
 
@@ -83,13 +93,64 @@ def _parse_bool(text: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {text!r}")
 
 
+# name -> (parser, default, flag help); a _parse_bool option is a switch flag
+OPTIONS = {
+    "config": (str, None, "flat key=value config file or a run manifest JSON"),
+    "preset": (str, None, "built-in constellation, NTxBITS (e.g. 3x1)"),
+    "constellation_file": (str, None, "constellation text file"),
+    "out": (str, None, "output file path"),
+    "nr": (int, 1, "receive antennas (default 1)"),
+    "seed": (int, 0, "simulation seed in [0, 2**128) (default 0)"),
+    "threads": (int, None, "worker threads (default: FDPRECODE_THREADS or all cores)"),
+    "plot": (_parse_bool, None, "also write an SVG plot"),
+    "snr": (parse_snr_grid, None, "SNR grid in dB: A:B:STEP or comma list"),
+    "trials": (int, 100000, "max trials per SNR point"),
+    "target_errors": (int, None, "stop a point early once this many errors are seen"),
+    "scheme": (str, "proposed", "proposed (default) or unprecoded_vblast baseline"),
+    "noiseless": (_parse_bool, False, "disable noise (sanity runs)"),
+    "tol": (float, 1e-12, "distinctness tolerance (default 1e-12)"),
+    "budget": (float, None, "average-energy budget"),
+    "b_step": (float, 0.025, "scale grid step over (0, 1] (default 0.025)"),
+    "phi_step": (float, np.pi / 36, "rotation grid step in radians (default pi/36)"),
+    "count": (int, 100000, "number of channel draws (default 100000)"),
+    "bins": (int, 60, "histogram bins (default 60)"),
+    # no flag: recorded from the loaded constellation, see DERIVED
+    "nt": (int, None, None),
+    "bits": (int, None, None),
+}
+
+_SOURCE = ("config", "preset", "constellation_file")
+_RUN = ("out", "nr", "seed", "threads", "plot")
+
+# subcommand -> (help, option names in flag order)
+COMMANDS = {
+    "simulate": ("run a CER-vs-SNR sweep", _SOURCE + _RUN + (
+        "snr", "trials", "target_errors", "scheme", "noiseless")),
+    "check-constellation": ("exhaustive full-diversity check", _SOURCE + ("tol",)),
+    "optimize-constellation": ("grid-search scalings and rotations for a base design",
+                               _SOURCE + ("out", "budget", "b_step", "phi_step")),
+    "dmin-pdf": ("sample the normalized d^2_min distribution", _SOURCE + _RUN + ("count", "bins")),
+}
+
+# keys a manifest records from the run itself; a config may repeat them only if they match
+DERIVED = {"simulate": ("nt", "bits"), "dmin-pdf": ("nt", "bits", "scheme")}
+
+# flags for this invocation's own files, never read from a config
+_LOCAL = ("config", "out", "plot")
+
+
 def read_config_file(path: str) -> dict:
     """Flat ``key = value`` text, or a run-manifest JSON (its config section)."""
-    with open(path, "r", encoding="utf-8") as f:
-        content = f.read()
-    if content.lstrip().startswith("{"):
-        data = json.loads(content)
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            content = f.read()
+        data = json.loads(content) if content.lstrip().startswith("{") else None
+    except ValueError as e:  # undecodable text or malformed JSON
+        raise ConfigurationError(f"{path}: {e}") from None
+    if data is not None:
         section = data.get("config", data)
+        if not isinstance(section, dict):
+            raise ConfigurationError(f"{path}: the config section must be a JSON object")
         return {str(k): str(v) for k, v in section.items()}
     out = {}
     for ln_no, line in enumerate(content.splitlines(), start=1):
@@ -103,30 +164,45 @@ def read_config_file(path: str) -> dict:
     return out
 
 
-def resolve_options(args, flag_names: dict) -> dict:
-    """Merge config-file keys with flags; flags win."""
-    merged = {}
-    if getattr(args, "config", None):
-        merged.update(read_config_file(args.config))
-    for key, attr in flag_names.items():
-        value = getattr(args, attr, None)
-        if value is not None and value is not False:
-            merged[key] = value
-    return merged
+def resolve_options(args) -> dict:
+    """The command's options: defaults, then the config file, then the flags.
+
+    A config key the command does not take is an error. Every given value
+    goes through its OPTIONS parser; one it refuses is an error naming the key.
+    """
+    names = [n for n in COMMANDS[args.command][1] if n not in _LOCAL]
+    given = read_config_file(args.config) if args.config else {}
+    for key in given:
+        if key not in names and key not in DERIVED.get(args.command, ()):
+            raise ConfigurationError(f"{args.config}: unknown key {key!r} for {args.command}")
+    given.update((n, getattr(args, n)) for n in names if getattr(args, n) is not None)
+    options = {n: OPTIONS[n][1] for n in names if OPTIONS[n][1] is not None}
+    for key, value in given.items():
+        try:
+            options[key] = OPTIONS[key][0](value)
+        except (TypeError, ValueError) as e:
+            raise ConfigurationError(f"{key}: {e}") from None
+    return options
 
 
-def _load_sets(options):
+def _load_sets(options, command=None):
+    """The constellation the options name; fills in and checks the DERIVED keys."""
     has_preset = "preset" in options
     has_file = "constellation_file" in options
     if has_preset and has_file:
         raise ConfigurationError("give either a preset or a constellation file, not both")
     if has_preset:
-        nt, bits = parse_preset_id(str(options["preset"]))
-        return preset(nt, bits), f"preset:{nt}x{bits}"
-    if has_file:
-        path = str(options["constellation_file"])
-        return load_constellation(path), path
-    raise ConfigurationError("no constellation given: use --preset or a constellation file")
+        nt, bits = parse_preset_id(options["preset"])
+        sets, source = preset(nt, bits), f"preset:{nt}x{bits}"
+    elif has_file:
+        sets, source = load_constellation(options["constellation_file"]), options["constellation_file"]
+    else:
+        raise ConfigurationError("no constellation given: use --preset or a constellation file")
+    facts = {"nt": sets.nt, "bits": sets.bits_per_symbol, "scheme": "proposed"}
+    for key in DERIVED.get(command, ()):
+        if options.setdefault(key, facts[key]) != facts[key]:
+            raise ConfigurationError(f"{key} is {options[key]!r}, but this run has {facts[key]!r}")
+    return sets, source
 
 
 def _threads(options) -> int:
@@ -151,8 +227,9 @@ def write_manifest(out_path: str, command: str, config: dict, outputs: list) -> 
         "version": __version__,
         "command": command,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "seed": int(config.get("seed", 0)),
-        "config": {k: _fmt(v) for k, v in config.items()},
+        "seed": config.get("seed"),
+        # the thread count never changes an output, so a rerun picks its own
+        "config": {k: _fmt(v) for k, v in config.items() if k != "threads"},
         "outputs": [str(p) for p in outputs],
     }
     path = str(out_path) + ".manifest.json"
@@ -162,53 +239,15 @@ def write_manifest(out_path: str, command: str, config: dict, outputs: list) -> 
     return path
 
 
-def _resolved_sim_options(options, sets, source: str) -> dict:
-    resolved = {
-        "nt": sets.nt,
-        "nr": int(options.get("nr", 1)),
-        "bits": sets.bits_per_symbol,
-        "snr": str(options["snr"]) if "snr" in options else None,
-        "trials": int(options.get("trials", 100000)),
-        "seed": int(options.get("seed", 0)),
-        "scheme": str(options.get("scheme", "proposed")),
-    }
-    if resolved["snr"] is None:
-        raise ConfigurationError("no SNR grid given: use --snr A:B:STEP or a config entry")
-    if source.startswith("preset:"):
-        resolved["preset"] = source.split(":", 1)[1]
-    else:
-        resolved["constellation_file"] = source
-    if "target_errors" in options:
-        resolved["target_errors"] = int(options["target_errors"])
-    if "noiseless" in options:
-        resolved["noiseless"] = _parse_bool(options["noiseless"]) if not isinstance(
-            options["noiseless"], bool) else options["noiseless"]
-    return resolved
-
-
-def _sim_config(resolved, sets) -> SimConfig:
-    return SimConfig(
-        nt=resolved["nt"],
-        nr=resolved["nr"],
-        constellation=sets,
-        snr_grid_db=parse_snr_grid(resolved["snr"]),
-        trials_per_point=resolved["trials"],
-        seed=resolved["seed"],
-        scheme=resolved["scheme"],
-        target_errors=resolved.get("target_errors"),
-        noiseless=resolved.get("noiseless", False),
-    )
-
-
 def cmd_simulate(args) -> int:
-    options = resolve_options(args, {
-        "preset": "preset", "constellation_file": "constellation_file", "nr": "nr",
-        "snr": "snr", "trials": "trials", "seed": "seed", "scheme": "scheme",
-        "target_errors": "target_errors", "noiseless": "noiseless", "threads": "threads",
-    })
-    sets, source = _load_sets(options)
-    resolved = _resolved_sim_options(options, sets, source)
-    cfg = _sim_config(resolved, sets)
+    options = resolve_options(args)
+    sets, _ = _load_sets(options, "simulate")
+    if "snr" not in options:
+        raise ConfigurationError("no SNR grid given: use --snr A:B:STEP or a config entry")
+    cfg = SimConfig(nt=sets.nt, nr=options["nr"], constellation=sets,
+                    snr_grid_db=options["snr"], trials_per_point=options["trials"],
+                    seed=options["seed"], scheme=options["scheme"],
+                    target_errors=options.get("target_errors"), noiseless=options["noiseless"])
     curve = run_cer_sweep(cfg, threads=_threads(options))
 
     out = args.out or "cer.csv"
@@ -221,13 +260,11 @@ def cmd_simulate(args) -> int:
     outputs = [out]
     if args.plot:
         svg_path = os.path.splitext(out)[0] + ".svg"
-        title = (f"{resolved['nt']}x{resolved['nr']} CER, "
-                 f"{resolved['bits']} bits/symbol, {resolved['scheme']}")
+        title = f"{cfg.nt}x{cfg.nr} CER, {cfg.bits_per_symbol} bits/symbol, {cfg.scheme}"
         with open(svg_path, "w", encoding="utf-8") as f:
-            f.write(svgplot.cer_plot(curve.snr_db, curve.cer,
-                                     resolved["nt"] * resolved["nr"], title))
+            f.write(svgplot.cer_plot(curve.snr_db, curve.cer, cfg.nt * cfg.nr, title))
         outputs.append(svg_path)
-    manifest = write_manifest(out, "simulate", resolved, outputs)
+    manifest = write_manifest(out, "simulate", options, outputs)
     print(f"wrote {', '.join(outputs)} (manifest: {manifest})")
     try:
         slope = estimate_diversity_slope(curve, (1e-4, 1e-2))
@@ -238,16 +275,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check_constellation(args) -> int:
-    options = resolve_options(args, {
-        "preset": "preset", "constellation_file": "constellation_file", "tol": "tol",
-    })
+    options = resolve_options(args)
     if "preset" not in options and "constellation_file" not in options and args.target:
-        if _PRESET_RE.match(args.target):
-            options["preset"] = args.target
-        else:
-            options["constellation_file"] = args.target
+        key = "preset" if _PRESET_RE.match(args.target) else "constellation_file"
+        options[key] = args.target
     sets, source = _load_sets(options)
-    tol = float(options.get("tol", 1e-12))
+    tol = options["tol"]
     report = check_full_diversity(sets, tol)
     print(f"constellation: {source} (nt={sets.nt}, {sets.bits_per_symbol} bits/symbol)")
     if source.startswith("preset:"):
@@ -270,24 +303,15 @@ def cmd_check_constellation(args) -> int:
 
 
 def cmd_optimize_constellation(args) -> int:
-    options = resolve_options(args, {
-        "preset": "preset", "constellation_file": "constellation_file",
-        "budget": "budget", "b_step": "b_step", "phi_step": "phi_step",
-    })
-    base, source = _load_sets(options)
+    options = resolve_options(args)
+    base, _ = _load_sets(options)
     if "budget" not in options:
         raise ConfigurationError("power budget required: use --budget")
-    budget = float(options["budget"])
-    grid = GridSpec(b_step=float(options.get("b_step", 0.025)),
-                    phi_step=float(options.get("phi_step", np.pi / 36)))
-    result = optimize_rotations_scalings(base, grid, budget)
+    grid = GridSpec(b_step=options["b_step"], phi_step=options["phi_step"])
+    result = optimize_rotations_scalings(base, grid, options["budget"])
     out = args.out or "optimized.txt"
     save_constellation(result.sets, out)
-    resolved = {
-        "base": source, "budget": budget, "b_step": grid.b_step,
-        "phi_step": grid.phi_step, "seed": 0,
-    }
-    manifest = write_manifest(out, "optimize-constellation", resolved, [out])
+    manifest = write_manifest(out, "optimize-constellation", options, [out])
     for i in range(base.nt):
         print(f"set {i + 1}: b = {_fmt(float(result.scales[i]))}, "
               f"phi = {_fmt(float(result.rotations[i]))} rad")
@@ -297,33 +321,18 @@ def cmd_optimize_constellation(args) -> int:
 
 
 def cmd_dmin_pdf(args) -> int:
-    options = resolve_options(args, {
-        "preset": "preset", "constellation_file": "constellation_file", "nr": "nr",
-        "count": "count", "bins": "bins", "seed": "seed", "threads": "threads",
-    })
-    sets, source = _load_sets(options)
-    resolved = {
-        "nt": sets.nt,
-        "nr": int(options.get("nr", 1)),
-        "bits": sets.bits_per_symbol,
-        "count": int(options.get("count", 100000)),
-        "bins": int(options.get("bins", 60)),
-        "seed": int(options.get("seed", 0)),
-        "scheme": "proposed",
-    }
-    if source.startswith("preset:"):
-        resolved["preset"] = source.split(":", 1)[1]
-    else:
-        resolved["constellation_file"] = source
-    if resolved["bins"] < 1:
-        raise ConfigurationError(f"bins must be >= 1, got {resolved['bins']}")
-    cfg = SimConfig(nt=resolved["nt"], nr=resolved["nr"], constellation=sets,
-                    snr_grid_db=(0.0,), trials_per_point=1, seed=resolved["seed"])
-    samples = sample_dmin_pdf(cfg, resolved["count"], threads=_threads(options))
-    dof = 2 * resolved["nt"] * resolved["nr"]
+    options = resolve_options(args)
+    sets, _ = _load_sets(options, "dmin-pdf")
+    if options["bins"] < 1:
+        raise ConfigurationError(f"bins must be >= 1, got {options['bins']}")
+    nt, nr = sets.nt, options["nr"]
+    cfg = SimConfig(nt=nt, nr=nr, constellation=sets, snr_grid_db=(0.0,),
+                    trials_per_point=1, seed=options["seed"])
+    samples = sample_dmin_pdf(cfg, options["count"], threads=_threads(options))
+    dof = 2 * nt * nr
     stat, p_value = ks_test_chisq(samples, dof)
 
-    counts, edges = np.histogram(samples.samples, bins=resolved["bins"])
+    counts, edges = np.histogram(samples.samples, bins=options["bins"])
     density = counts / (samples.count * np.diff(edges))
     out = args.out or "dmin_pdf.csv"
     with open(out, "w", encoding="ascii", newline="\n") as f:
@@ -338,11 +347,10 @@ def cmd_dmin_pdf(args) -> int:
         svg_path = os.path.splitext(out)[0] + ".svg"
         with open(svg_path, "w", encoding="utf-8") as f:
             f.write(svgplot.histogram_plot(
-                edges, density, xs, pdf,
-                f"normalized d^2_min, {resolved['nt']}x{resolved['nr']}",
+                edges, density, xs, pdf, f"normalized d^2_min, {nt}x{nr}",
                 overlay_label=f"chi-square pdf, {dof} dof"))
         outputs.append(svg_path)
-    manifest = write_manifest(out, "dmin-pdf", resolved, outputs)
+    manifest = write_manifest(out, "dmin-pdf", options, outputs)
     print(f"KS statistic = {stat:.6g}, p-value = {p_value:.6g}, dof = {dof}")
     print(f"wrote {', '.join(outputs)} (manifest: {manifest})")
     return 0
@@ -355,58 +363,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "constellation design tools.")
     parser.add_argument("--version", action="version", version=f"fdprecode {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_sim_flags=True):
-        p.add_argument("--config", help="flat key=value config file or a run manifest JSON")
-        p.add_argument("--preset", help="built-in constellation, NTxBITS (e.g. 3x1)")
-        p.add_argument("--constellation-file", dest="constellation_file",
-                       help="constellation text file")
-        p.add_argument("--out", help="output file path")
-        if with_sim_flags:
-            p.add_argument("--nr", type=int, help="receive antennas (default 1)")
-            p.add_argument("--seed", type=int, help="64-bit simulation seed (default 0)")
-            p.add_argument("--threads", type=int,
-                           help="worker threads (default: FDPRECODE_THREADS or all cores)")
-            p.add_argument("--plot", action="store_true", help="also write an SVG plot")
-
-    p_sim = sub.add_parser("simulate", help="run a CER-vs-SNR sweep")
-    common(p_sim)
-    p_sim.add_argument("--snr", help="SNR grid in dB: A:B:STEP or comma list")
-    p_sim.add_argument("--trials", type=int, help="max trials per SNR point")
-    p_sim.add_argument("--target-errors", dest="target_errors", type=int,
-                       help="stop a point early once this many errors are seen")
-    p_sim.add_argument("--scheme", choices=SCHEMES,
-                       help="proposed (default) or unprecoded_vblast baseline")
-    p_sim.add_argument("--noiseless", action="store_true",
-                       help="disable noise (sanity runs)")
-    p_sim.set_defaults(func=cmd_simulate)
-
-    p_check = sub.add_parser("check-constellation",
-                             help="exhaustive full-diversity check")
-    p_check.add_argument("target", nargs="?",
-                         help="preset id (NTxBITS) or constellation file")
-    p_check.add_argument("--config", help="flat key=value config file")
-    p_check.add_argument("--preset")
-    p_check.add_argument("--constellation-file", dest="constellation_file")
-    p_check.add_argument("--tol", type=float, help="distinctness tolerance (default 1e-12)")
-    p_check.set_defaults(func=cmd_check_constellation)
-
-    p_opt = sub.add_parser("optimize-constellation",
-                           help="grid-search scalings and rotations for a base design")
-    common(p_opt, with_sim_flags=False)
-    p_opt.add_argument("--budget", type=float, help="average-energy budget")
-    p_opt.add_argument("--b-step", dest="b_step", type=float,
-                       help="scale grid step over (0, 1] (default 0.025)")
-    p_opt.add_argument("--phi-step", dest="phi_step", type=float,
-                       help="rotation grid step in radians (default pi/36)")
-    p_opt.set_defaults(func=cmd_optimize_constellation)
-
-    p_dmin = sub.add_parser("dmin-pdf",
-                            help="sample the normalized d^2_min distribution")
-    common(p_dmin)
-    p_dmin.add_argument("--count", type=int, help="number of channel draws (default 100000)")
-    p_dmin.add_argument("--bins", type=int, help="histogram bins (default 60)")
-    p_dmin.set_defaults(func=cmd_dmin_pdf)
+    for command, (help_text, names) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        if command == "check-constellation":
+            p.add_argument("target", nargs="?", help="preset id (NTxBITS) or constellation file")
+        for name in names:
+            parse, _, flag_help = OPTIONS[name]
+            switch = {"action": "store_true", "default": None} if parse is _parse_bool else {}
+            p.add_argument("--" + name.replace("_", "-"), dest=name, help=flag_help, **switch)
+        p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
     return parser
 
 

@@ -1,8 +1,8 @@
 """Exact maximum-likelihood detection for the precoded system.
 
 Two equivalent paths: an exhaustive search over the full codebook (the
-oracle, cost O(N * nt * nr) per decode) and a fast decoder over the sum
-constellation. Because F x = a * sum(x), the metric ||y - H F x||^2 depends
+oracle, cost O(N * nt * nr) per decode; the same batched search decodes the
+unprecoded V-BLAST baseline) and a fast decoder over the sum constellation. Because F x = a * sum(x), the metric ||y - H F x||^2 depends
 on x only through s = sum(x), so the fast path is a nearest-point search
 for the matched-filter reduction s_mf = (h_eff^H y) / ||h_eff||^2 -- the same
 argmin. Both break ties toward the smallest codeword index.
@@ -42,18 +42,29 @@ def codeword_matrix(cs: ConstellationSets, budget: int = BRUTEFORCE_BUDGET) -> n
     return np.stack(cols, axis=1)
 
 
-def exhaustive_ml(y: np.ndarray, transfer: np.ndarray, codewords: np.ndarray) -> int:
-    """argmin_k ||y - transfer @ x_k||^2 over the rows of `codewords`."""
-    cand = codewords @ transfer.T
-    metrics = np.sum(np.abs(np.asarray(y)[None, :] - cand) ** 2, axis=1)
-    return int(np.argmin(metrics))
+def exhaustive_decode_batch(y: np.ndarray, transfer: np.ndarray,
+                            codewords: np.ndarray) -> np.ndarray:
+    """argmin_k ||y_b - transfer_b @ x_k||^2 for every row b.
+
+    y is (B, nr), transfer (B, nr, nt) and codewords (N, nt); chunked so the
+    (chunk, N, nr) candidate table stays near 32 MB.
+    """
+    n = codewords.shape[0]
+    out = np.empty(y.shape[0], dtype=np.int64)
+    chunk = max(1, (1 << 21) // (n * y.shape[1]))
+    for lo in range(0, y.shape[0], chunk):
+        cand = np.einsum("kn,bon->bko", codewords, transfer[lo:lo + chunk])
+        metrics = np.sum(np.abs(y[lo:lo + chunk, None, :] - cand) ** 2, axis=2)
+        out[lo:lo + chunk] = np.argmin(metrics, axis=1)
+    return out
 
 
 def ml_decode_bruteforce(y: np.ndarray, h: np.ndarray, a: np.ndarray,
                          cs: ConstellationSets, budget: int = BRUTEFORCE_BUDGET) -> int:
     """Exhaustive ML decode of y = H F x + n; returns the codeword index."""
     hf = np.asarray(h, dtype=complex) @ precoder_matrix(a)
-    return exhaustive_ml(np.asarray(y, dtype=complex), hf, codeword_matrix(cs, budget=budget))
+    y = np.asarray(y, dtype=complex)
+    return int(exhaustive_decode_batch(y[None], hf[None], codeword_matrix(cs, budget=budget))[0])
 
 
 class FastMLDecoder:

@@ -15,6 +15,7 @@ Es = sum_i E|x_i|^2 in both cases.
 """
 
 import concurrent.futures
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,7 @@ from scipy.special import gammainc, kolmogorov
 from . import streams
 from .channel import gram_polar
 from .constellation import ConstellationSets, average_energy, sum_constellation
-from .detector import FastMLDecoder, codeword_matrix
+from .detector import FastMLDecoder, codeword_matrix, exhaustive_decode_batch
 from .errors import ConfigurationError
 from .precoder import feedback_angles_batch
 
@@ -57,6 +58,8 @@ class SimConfig:
         grid = tuple(float(s) for s in self.snr_grid_db)
         if len(grid) == 0:
             raise ConfigurationError("snr_grid_db must not be empty")
+        if not all(math.isfinite(s) for s in grid):
+            raise ConfigurationError(f"snr_grid_db must be finite, got {grid}")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigurationError(f"snr_grid_db must be strictly increasing, got {grid}")
         object.__setattr__(self, "snr_grid_db", grid)
@@ -66,6 +69,9 @@ class SimConfig:
             raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.target_errors is not None and self.target_errors < 1:
             raise ConfigurationError(f"target_errors must be >= 1, got {self.target_errors}")
+        # streams keys Philox with seed & (2**128 - 1): a wider seed would alias another
+        if not 0 <= self.seed < 1 << 128:
+            raise ConfigurationError(f"seed must be in [0, 2**128), got {self.seed}")
 
     @property
     def bits_per_symbol(self) -> int:
@@ -170,19 +176,8 @@ class _Engine:
         else:
             x = np.stack([self.sets[i][cw[:, i]] for i in range(nt)], axis=1)
             y = np.einsum("bon,bn->bo", h, x) + noise
-            decisions = self._exhaustive_batch(y, h)
+            decisions = exhaustive_decode_batch(y, h, self.codewords)
         return int(np.count_nonzero(decisions != true_idx))
-
-    def _exhaustive_batch(self, y: np.ndarray, h: np.ndarray) -> np.ndarray:
-        n = self.codewords.shape[0]
-        out = np.empty(y.shape[0], dtype=np.int64)
-        chunk = max(1, (1 << 21) // (n * self.cfg.nr))
-        for lo in range(0, y.shape[0], chunk):
-            hi = min(lo + chunk, y.shape[0])
-            cand = np.einsum("kn,bon->bko", self.codewords, h[lo:hi])
-            metrics = np.sum(np.abs(y[lo:hi, None, :] - cand) ** 2, axis=2)
-            out[lo:hi] = np.argmin(metrics, axis=1)
-        return out
 
 
 def _run_point(engine: _Engine, point_idx: int, sigma2: float, threads: int):

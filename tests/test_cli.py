@@ -3,8 +3,19 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fdprecode.cli import main, parse_preset_id, parse_snr_grid, read_config_file
+from fdprecode.cli import (
+    COMMANDS,
+    OPTIONS,
+    build_parser,
+    main,
+    parse_preset_id,
+    parse_snr_grid,
+    read_config_file,
+    resolve_options,
+)
 from fdprecode.constellation import ConstellationSets, load_constellation, save_constellation
 from fdprecode.errors import ConfigurationError
 
@@ -31,6 +42,10 @@ def test_parse_snr_grid():
         parse_snr_grid("10:20")
     with pytest.raises(ConfigurationError):
         parse_snr_grid("20:10:2")
+    assert len(parse_snr_grid("0:9999:1")) == 10000
+    for text in ("0:10000:1", "0:1:1e-300", "0:1e999:1", "0:nan:1"):
+        with pytest.raises(ConfigurationError, match="exceeds"):
+            parse_snr_grid(text)
 
 
 def test_read_config_file(tmp_path):
@@ -232,3 +247,115 @@ def test_dmin_pdf_manifest_rerun_identical(tmp_path):
     assert run(["dmin-pdf", "--config", str(out1) + ".manifest.json",
                 "--out", out2]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+# ------------------------------------------------------------ option handling
+
+SIM = ["simulate", "--preset", "3x1", "--trials", "64", "--threads", "1"]
+
+# an optimize-constellation manifest as written before it recorded its inputs
+OLD_OPTIMIZE_MANIFEST = json.dumps({
+    "command": "optimize-constellation",
+    "config": {"b_step": "0.1", "base": "preset:3x1", "budget": "2.5",
+               "phi_step": "0.2", "seed": "0"},
+    "outputs": ["o.txt"], "seed": 0, "tool": "fdprecode", "version": "0.1.0"})
+
+
+@pytest.mark.parametrize("argv, config, key", [
+    (SIM + ["--snr", "1,,2"], None, "snr"),
+    (["simulate", "--snr", "10"], "preset = 3x1\ntrials = abc\n", "trials"),
+    (["simulate"], '{"config": {"preset": "3x1", ', "run.cfg"),
+    (SIM + ["--snr", "nan"], None, "snr"),
+    (["simulate", "--trials", "64"], "preset = 3x1\nsnr = 10\ntrails = 99\n", "trails"),
+    (SIM + ["--snr", "10", "--seed", "-1"], None, "seed"),
+    (SIM + ["--snr", "10", "--seed", str(1 << 128)], None, "seed"),
+    (["optimize-constellation"], OLD_OPTIMIZE_MANIFEST, "base"),
+], ids=["empty-snr-item", "trials-abc", "truncated-manifest", "snr-nan", "unknown-key",
+        "negative-seed", "wide-seed", "old-optimize-manifest"])
+def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, config, key):
+    written = []
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", cfg]
+        written.append(cfg)
+    assert run(argv + ["--out", tmp_path / "out.csv"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert key in err
+    assert sorted(tmp_path.iterdir()) == written
+
+
+def test_optimize_manifest_reruns_byte_identical(tmp_path):
+    out1, out2 = tmp_path / "o1.txt", tmp_path / "o2.txt"
+    assert run(["optimize-constellation", "--preset", "3x1", "--budget", "2.5",
+                "--b-step", "0.1", "--out", out1]) == 0
+    manifest = json.loads((tmp_path / "o1.txt.manifest.json").read_text())
+    assert manifest["config"] == {"preset": "3x1", "budget": "2.5", "b_step": "0.1",
+                                  "phi_step": repr(np.pi / 36)}
+    assert run(["optimize-constellation", "--config", str(out1) + ".manifest.json",
+                "--out", out2]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+# a simulate manifest and its CSV, both as written before the option table
+OLD_SIMULATE_MANIFEST = {
+    "command": "simulate",
+    "config": {"bits": "1", "nr": "2", "nt": "3", "preset": "3x1", "scheme": "proposed",
+               "seed": "11", "snr": "6:10:2", "trials": "2000"},
+    "outputs": ["lit.csv"], "seed": 11, "timestamp": "2026-10-18T05:15:24.211931+00:00",
+    "tool": "fdprecode", "version": "0.1.0"}
+OLD_SIMULATE_CSV = (
+    "snr_db,trials,errors,cer,ci_lo,ci_hi\n"
+    "6.0,2000,257,0.1285,0.11454272443866984,0.14388164169130105\n"
+    "8.0,2000,98,0.049,0.04037353995030726,0.05935563669738288\n"
+    "10.0,2000,36,0.018,0.01302999144428223,0.024818042134845595\n")
+
+
+def test_old_simulate_manifest_reruns_byte_identical(tmp_path, capsys):
+    manifest = tmp_path / "lit.csv.manifest.json"
+    manifest.write_text(json.dumps(OLD_SIMULATE_MANIFEST))
+    out = tmp_path / "again.csv"
+    assert run(["simulate", "--config", manifest, "--threads", "2", "--out", out]) == 0
+    assert out.read_text() == OLD_SIMULATE_CSV
+    bad = json.loads(json.dumps(OLD_SIMULATE_MANIFEST))
+    bad["config"]["nt"] = "4"
+    manifest.write_text(json.dumps(bad))
+    capsys.readouterr()
+    assert run(["simulate", "--config", manifest, "--out", tmp_path / "bad.csv"]) == 2
+    assert "nt" in capsys.readouterr().err
+    assert not (tmp_path / "bad.csv").exists()
+
+
+_VALUES = (st.sampled_from(["3x1", "16x1", "10", "8:12:2", "1,,2", "nan", "-1", "1e999",
+                            "true", "0:1:1e-300", "1:0:1", "abc", "", "2.5", "proposed"])
+           | st.integers().map(str) | st.floats().map(repr) | st.text(max_size=12)
+           | st.tuples(st.floats(), st.floats(), st.floats()).map(lambda t: ":".join(map(repr, t))))
+_LINES = st.lists(st.tuples(st.sampled_from(sorted(OPTIONS) + ["trails", "base"])
+                            | st.text(max_size=8), _VALUES).map(" = ".join), max_size=8)
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+                     | st.text(max_size=6),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=5), inner, max_size=3), max_leaves=6)
+_CONFIG_TEXT = (_LINES.map("\n".join) | st.text(max_size=60)
+                | st.dictionaries(st.sampled_from(sorted(OPTIONS)), _VALUES, max_size=6)
+                .map(lambda d: json.dumps({"config": d}))
+                | st.dictionaries(st.sampled_from(["config", *sorted(OPTIONS)]), _JSON, max_size=4)
+                .map(json.dumps))
+
+
+def test_config_text_resolves_or_raises_configuration_error(tmp_path):
+    path = tmp_path / "fuzz.cfg"
+
+    @settings(max_examples=400, deadline=None)
+    @given(command=st.sampled_from(sorted(COMMANDS)), text=_CONFIG_TEXT)
+    def check(command, text):
+        path.write_text(text, encoding="utf-8")
+        args = build_parser().parse_args([command, "--config", str(path)])
+        try:
+            options = resolve_options(args)
+        except ConfigurationError:
+            return
+        assert set(options) <= set(OPTIONS)
+
+    check()

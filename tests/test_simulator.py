@@ -49,6 +49,16 @@ def test_config_validation():
         small_config(nt=4)  # constellation has 3 sets
     with pytest.raises(ConfigurationError):
         small_config(target_errors=0)
+    for grid in ((float("nan"),), (10.0, float("nan")), (10.0, float("inf")),
+                 (-float("inf"), 0.0)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            small_config(snr_grid_db=grid)
+    # streams masks the key to 128 bits, so these would alias (1 << 128) - 1 and 0
+    for seed in (-1, 1 << 128):
+        with pytest.raises(ConfigurationError, match="seed"):
+            small_config(seed=seed)
+    for seed in (0, (1 << 128) - 1):
+        assert small_config(seed=seed).seed == seed
 
 
 # ----------------------------------------------------------------- CER sweep
