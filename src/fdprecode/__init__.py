@@ -11,7 +11,7 @@ normalized d^2_min distribution tests, diversity-slope fits) at desk scale.
 
 __version__ = "0.1.0"
 
-from .channel import CrossTerms, gram_cross_terms, sample_channel, sample_noise
+from .channel import gram_polar, sample_channel, sample_noise
 from .constellation import (
     ConstellationSets,
     DiversityReport,
@@ -34,8 +34,8 @@ from .errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesign
 from .precoder import (
     angles_for_channel,
     build_precoder,
-    compute_feedback_angles,
     effective_channel,
+    feedback_angles_batch,
     per_antenna_phase_residuals,
     phase_condition_residual,
     precoder_matrix,
@@ -53,15 +53,15 @@ from .simulator import (
 from .streams import substream
 
 __all__ = [
-    "CrossTerms", "gram_cross_terms", "sample_channel", "sample_noise",
+    "gram_polar", "sample_channel", "sample_noise",
     "ConstellationSets", "DiversityReport", "GridSpec", "OptimizationResult",
     "SumConstellation", "average_energy", "check_full_diversity",
     "geometric_qam_family", "load_constellation", "min_sum_distance",
     "optimize_rotations_scalings", "preset", "qam_points", "save_constellation",
     "sum_constellation", "FastMLDecoder", "ml_decode_bruteforce", "ml_decode_fast",
     "ConfigurationError", "EnumerationBudgetError", "InfeasibleDesignError",
-    "angles_for_channel", "build_precoder", "compute_feedback_angles",
-    "effective_channel", "per_antenna_phase_residuals", "phase_condition_residual",
+    "angles_for_channel", "build_precoder", "effective_channel",
+    "feedback_angles_batch", "per_antenna_phase_residuals", "phase_condition_residual",
     "precoder_matrix", "CerCurve", "DminSamples", "SimConfig",
     "estimate_diversity_slope", "ks_test_chisq", "run_cer_sweep", "sample_dmin_pdf",
     "wilson_interval", "substream",

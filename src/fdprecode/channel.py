@@ -6,8 +6,6 @@ variance split equally between real and imaginary parts, so that the
 expected squared Frobenius norm is nt * nr.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -31,43 +29,30 @@ def sample_noise(nr: int, sigma2: float, stream: np.random.Generator) -> np.ndar
     return (g[0] + 1j * g[1]) * np.sqrt(sigma2 / 2.0)
 
 
-@dataclass(frozen=True)
-class CrossTerms:
-    """Polar form of the column cross-correlations the receiver feeds back from.
-
-    For transmit-antenna pairs n > m (0-based indices),
-    ``rho[n, m] * exp(1j * alpha[n, m])`` equals sum_o conj(H[o, n]) * H[o, m].
-    rho is nonnegative, alpha is the principal value in (-pi, pi], and
-    alpha is fixed to 0 wherever rho vanishes. Entries with n <= m are zero.
-    """
-
-    rho: np.ndarray
-    alpha: np.ndarray
-
-    @property
-    def nt(self) -> int:
-        return self.rho.shape[0]
+def pair_columns(n: int) -> slice:
+    """The columns of `gram_polar`'s output that hold the pairs (n, 0..n-1)."""
+    return slice(n * (n - 1) // 2, n * (n + 1) // 2)
 
 
 def gram_polar(h_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized cross-terms for a (B, nr, nt) channel batch.
+    """Polar cross-correlations of a (B, nr, nt) channel batch, packed.
 
-    Returns (rho, alpha) of shape (B, nt, nt); only the strict lower
-    triangle (n > m) is meaningful downstream, the full Gram product is
-    returned as computed.
+    Returns (rho, alpha), each of shape (B, nt * (nt - 1) // 2), holding the
+    pairs n > m (0-based) in ``np.tril_indices(nt, -1)`` order, so antenna
+    n's terms are the columns `pair_columns(n)`. There ``rho * exp(1j * alpha)``
+    equals sum_o conj(H[o, n]) * H[o, m]; rho is nonnegative, alpha is the
+    principal value in (-pi, pi], and alpha is fixed to 0 wherever rho
+    vanishes. Only these pairs are computed.
     """
-    g = np.einsum("bon,bom->bnm", h_batch.conj(), h_batch)
-    rho = np.abs(g)
-    # adding +0j normalizes -0.0 imaginary parts so negative reals map to +pi
-    alpha = np.where(rho == 0.0, 0.0, np.angle(g + 0j))
+    if h_batch.ndim != 3:
+        raise ConfigurationError(f"channel batch must be 3-D, got shape {h_batch.shape}")
+    b, _, nt = h_batch.shape
+    rho = np.empty((b, nt * (nt - 1) // 2))
+    alpha = np.empty_like(rho)
+    for n in range(1, nt):
+        cols = pair_columns(n)
+        g = np.einsum("bo,bom->bm", h_batch[:, :, n].conj(), h_batch[:, :, :n])
+        rho[:, cols] = np.abs(g)
+        # adding +0j normalizes -0.0 imaginary parts so negative reals map to +pi
+        alpha[:, cols] = np.where(rho[:, cols] == 0.0, 0.0, np.angle(g + 0j))
     return rho, alpha
-
-
-def gram_cross_terms(h: np.ndarray) -> CrossTerms:
-    """Cross-correlation magnitudes and phases of a single (nr, nt) channel."""
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2:
-        raise ConfigurationError(f"channel matrix must be 2-D, got shape {h.shape}")
-    rho, alpha = gram_polar(h[None])
-    tril = np.tri(h.shape[1], k=-1, dtype=bool)
-    return CrossTerms(rho=np.where(tril, rho[0], 0.0), alpha=np.where(tril, alpha[0], 0.0))

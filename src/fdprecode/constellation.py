@@ -236,6 +236,11 @@ def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
     return best, bi, bj
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 <= tol < np.inf:
+        raise ConfigurationError(f"tol must lie in [0, inf), got {tol}")
+
+
 def check_full_diversity(cs: ConstellationSets, tol: float = DEFAULT_DISTINCT_TOL,
                          budget: int = DEFAULT_ENUM_BUDGET) -> DiversityReport:
     """Exhaustive sum-injectivity check: passes iff all codeword sums are
@@ -245,6 +250,7 @@ def check_full_diversity(cs: ConstellationSets, tol: float = DEFAULT_DISTINCT_TO
     |sum_i dx_i| (0 when two codewords collide); the witness is a pair of
     per-antenna index tuples attaining it.
     """
+    _check_tol(tol)
     sc = sum_constellation(cs, budget=budget)
     d, i, j = _min_pairwise(sc.points)
     n = sc.size
@@ -292,8 +298,9 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec, power_b
     honest about what they found. Raises InfeasibleDesignError when some
     stage has no feasible grid point.
     """
-    if power_budget <= 0:
-        raise ConfigurationError(f"power budget must be positive, got {power_budget}")
+    if not 0 < power_budget < np.inf:
+        raise ConfigurationError(f"power budget must be positive and finite, got {power_budget}")
+    _check_tol(tol)
     energies = [float(np.mean(np.abs(c) ** 2)) for c in base.sets]
     b_values = grid.scale_values()
     phi_values = grid.rotation_values()

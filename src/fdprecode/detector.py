@@ -2,10 +2,11 @@
 
 Two equivalent paths: an exhaustive search over the full codebook (the
 oracle, cost O(N * nt * nr) per decode; the same batched search decodes the
-unprecoded V-BLAST baseline) and a fast decoder over the sum constellation. Because F x = a * sum(x), the metric ||y - H F x||^2 depends
-on x only through s = sum(x), so the fast path is a nearest-point search
-for the matched-filter reduction s_mf = (h_eff^H y) / ||h_eff||^2 -- the same
-argmin. Both break ties toward the smallest codeword index.
+unprecoded V-BLAST baseline) and a fast decoder over the sum constellation.
+Because F x = a * sum(x), the metric ||y - H F x||^2 depends on x only
+through s = sum(x), so the fast path is a nearest-point search for the
+matched-filter reduction s_mf = (h_eff^H y) / ||h_eff||^2 -- the same argmin.
+Both break ties toward the smallest codeword index.
 
 The fast path looks the nearest sum up in a uniform bucket grid of cells of
 side d_min / 2, which holds at most one sum per cell. A query is compared

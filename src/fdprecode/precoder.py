@@ -11,9 +11,11 @@ vanishes, which removes every cross term from ||H F dx||^2 and yields the
 distance identity ||H F dx||^2 = ||H||_F^2 * |sum(dx)|^2.
 """
 
+import math
+
 import numpy as np
 
-from .channel import CrossTerms, gram_cross_terms
+from .channel import gram_polar, pair_columns
 from .errors import ConfigurationError
 
 # below this magnitude the zero-crossing constraint for an antenna is vacuous
@@ -21,29 +23,28 @@ _DEGENERATE_EPS = 1e-300
 
 
 def feedback_angles_batch(rho: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """Angle recursion vectorized over a batch of (B, nt, nt) cross terms."""
-    b, nt, _ = rho.shape
-    if nt < 2:
-        raise ConfigurationError(f"feedback angles need nt >= 2, got nt={nt}")
-    theta = np.zeros((b, nt))
-    theta[:, 1] = alpha[:, 1, 0] - np.pi / 2.0
-    for n in range(2, nt):
-        phase = theta[:, :n] + alpha[:, n, :n]
-        a_n = np.sum(rho[:, n, :n] * np.cos(phase), axis=1)
-        b_n = np.sum(rho[:, n, :n] * np.sin(phase), axis=1)
-        degenerate = (np.abs(a_n) < _DEGENERATE_EPS) & (np.abs(b_n) < _DEGENERATE_EPS)
-        theta[:, n] = np.where(degenerate, 0.0, np.arctan2(-a_n, b_n))
-    return theta
+    """The nt angles (theta_1 = 0 exactly) for each row of packed cross terms.
 
-
-def compute_feedback_angles(ct: CrossTerms) -> np.ndarray:
-    """The nt angles (theta_1 = 0 exactly) computed from receiver cross terms.
-
+    rho and alpha are `gram_polar`'s (B, nt * (nt - 1) // 2) arrays.
     theta_2 = alpha[2,1] - pi/2 solves the first zero-crossing directly; each
     later theta_n = atan2(-A_n, B_n) zeroes A_n cos(theta_n) + B_n sin(theta_n)
     on a fixed branch (either atan2 branch is a valid root).
     """
-    return feedback_angles_batch(ct.rho[None], ct.alpha[None])[0]
+    b, pairs = rho.shape
+    nt = (1 + math.isqrt(1 + 8 * pairs)) // 2
+    if nt < 2 or nt * (nt - 1) // 2 != pairs:
+        raise ConfigurationError(
+            f"feedback angles need nt * (nt - 1) / 2 cross terms with nt >= 2, got {pairs}")
+    theta = np.zeros((b, nt))
+    theta[:, 1] = alpha[:, 0] - np.pi / 2.0
+    for n in range(2, nt):
+        cols = pair_columns(n)
+        phase = theta[:, :n] + alpha[:, cols]
+        a_n = np.sum(rho[:, cols] * np.cos(phase), axis=1)
+        b_n = np.sum(rho[:, cols] * np.sin(phase), axis=1)
+        degenerate = (np.abs(a_n) < _DEGENERATE_EPS) & (np.abs(b_n) < _DEGENERATE_EPS)
+        theta[:, n] = np.where(degenerate, 0.0, np.arctan2(-a_n, b_n))
+    return theta
 
 
 def build_precoder(theta: np.ndarray) -> np.ndarray:
@@ -63,12 +64,13 @@ def per_antenna_phase_residuals(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
     Angles produced by the recursion drive every entry to ~0 individually,
     a stronger statement than the total phase condition.
     """
-    ct = gram_cross_terms(h)
+    h = np.asarray(h, dtype=complex)
+    rho, alpha = gram_polar(h[None])
     theta = np.asarray(theta, dtype=float)
-    nt = ct.nt
-    out = np.zeros(nt)
-    for n in range(1, nt):
-        out[n] = np.sum(ct.rho[n, :n] * np.cos(theta[:n] - theta[n] + ct.alpha[n, :n]))
+    out = np.zeros(h.shape[1])
+    for n in range(1, h.shape[1]):
+        cols = pair_columns(n)
+        out[n] = np.sum(rho[0, cols] * np.cos(theta[:n] - theta[n] + alpha[0, cols]))
     return out
 
 
@@ -88,5 +90,5 @@ def effective_channel(h: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def angles_for_channel(h: np.ndarray) -> np.ndarray:
     """Convenience: feedback angles straight from a channel matrix."""
-    return compute_feedback_angles(gram_cross_terms(h))
+    return feedback_angles_batch(*gram_polar(np.asarray(h, dtype=complex)[None]))[0]
 

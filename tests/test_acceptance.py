@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
-from fdprecode.channel import gram_polar, sample_channel
+from fdprecode.channel import gram_polar, pair_columns, sample_channel
 from fdprecode.constellation import (
     ConstellationSets,
     GridSpec,
@@ -96,8 +96,9 @@ def test_criterion_2_phase_condition_per_antenna():
             theta = feedback_angles_batch(rho, alpha)
             fro = np.sum(np.abs(h) ** 2, axis=(1, 2))
             for n in range(1, nt):
+                cols = pair_columns(n)
                 inner = np.sum(
-                    rho[:, n, :n] * np.cos(theta[:, :n] - theta[:, n:n + 1] + alpha[:, n, :n]),
+                    rho[:, cols] * np.cos(theta[:, :n] - theta[:, n:n + 1] + alpha[:, cols]),
                     axis=1)
                 assert np.all(np.abs(inner) < 1e-9 * fro)
     elapsed = time.monotonic() - t0

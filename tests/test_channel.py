@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdprecode.channel import gram_cross_terms, gram_polar, sample_channel, sample_noise
+from fdprecode.channel import gram_polar, sample_channel, sample_noise
 from fdprecode.errors import ConfigurationError
 from fdprecode.simulator import DminSamples, ks_test_chisq
 from fdprecode.streams import substream
@@ -48,39 +48,39 @@ def test_channel_magnitude_chisquare():
 
 
 def test_gram_orthogonal_columns():
-    ct = gram_cross_terms(np.eye(2, dtype=complex))
-    assert ct.rho[1, 0] == 0.0
-    assert ct.alpha[1, 0] == 0.0
+    rho, alpha = gram_polar(np.eye(2, dtype=complex)[None])
+    assert rho[0, 0] == 0.0
+    assert alpha[0, 0] == 0.0
 
 
 def test_gram_hand_values():
-    ct = gram_cross_terms(np.array([[1.0, 1.0]]))
-    assert ct.rho[1, 0] == pytest.approx(1.0, abs=1e-15)
-    assert ct.alpha[1, 0] == pytest.approx(0.0, abs=1e-15)
+    rho, alpha = gram_polar(np.array([[1.0, 1.0]], dtype=complex)[None])
+    assert rho[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert alpha[0, 0] == pytest.approx(0.0, abs=1e-15)
 
-    ct = gram_cross_terms(np.array([[1.0, 1.0j]]))
+    rho, alpha = gram_polar(np.array([[1.0, 1.0j]])[None])
     # g_21 = conj(j) * 1 = -j
-    assert ct.rho[1, 0] == pytest.approx(1.0, abs=1e-15)
-    assert ct.alpha[1, 0] == pytest.approx(-np.pi / 2, abs=1e-15)
+    assert rho[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert alpha[0, 0] == pytest.approx(-np.pi / 2, abs=1e-15)
 
 
 def test_gram_negative_real_phase_is_principal():
-    ct = gram_cross_terms(np.array([[1.0, -1.0]]))
-    assert ct.alpha[1, 0] == pytest.approx(np.pi)
+    _, alpha = gram_polar(np.array([[1.0, -1.0]], dtype=complex)[None])
+    assert alpha[0, 0] == pytest.approx(np.pi)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.integers(1, 4))
 def test_polar_reconstruction(seed, nt, nr):
     h = sample_channel(nt, nr, substream(seed))
-    ct = gram_cross_terms(h)
-    for n in range(nt):
-        for m in range(n):
-            g = np.sum(np.conj(h[:, n]) * h[:, m])
-            rec = ct.rho[n, m] * np.exp(1j * ct.alpha[n, m])
-            assert abs(rec - g) < 1e-12 * (1.0 + ct.rho[n, m])
-            assert ct.rho[n, m] >= 0.0
-            assert -np.pi < ct.alpha[n, m] <= np.pi
+    rho, alpha = gram_polar(h[None])
+    assert rho.shape == alpha.shape == (1, nt * (nt - 1) // 2)
+    for k, (n, m) in enumerate(zip(*np.tril_indices(nt, -1))):
+        g = np.sum(np.conj(h[:, n]) * h[:, m])
+        rec = rho[0, k] * np.exp(1j * alpha[0, k])
+        assert abs(rec - g) < 1e-12 * (1.0 + rho[0, k])
+        assert rho[0, k] >= 0.0
+        assert -np.pi < alpha[0, k] <= np.pi
 
 
 @settings(max_examples=25, deadline=None)
@@ -89,13 +89,16 @@ def test_gram_hermitian_symmetry(seed):
     h = sample_channel(4, 2, substream(seed))
     rho, alpha = gram_polar(h[None])
     g = rho[0] * np.exp(1j * alpha[0])
+    pairs = list(zip(*np.tril_indices(4, -1)))
     for n in range(4):
         for m in range(4):
             gnm = np.sum(np.conj(h[:, n]) * h[:, m])
             gmn = np.sum(np.conj(h[:, m]) * h[:, n])
             assert gnm == pytest.approx(np.conj(gmn), abs=1e-13)
-            if n != m:
-                assert g[n, m] == pytest.approx(gnm, abs=1e-12)
+            if n > m:
+                assert g[pairs.index((n, m))] == pytest.approx(gnm, abs=1e-12)
+            elif n < m:
+                assert np.conj(g[pairs.index((m, n))]) == pytest.approx(gnm, abs=1e-12)
 
 
 def test_sample_noise_moments():

@@ -252,6 +252,7 @@ def test_dmin_pdf_manifest_rerun_identical(tmp_path):
 # ------------------------------------------------------------ option handling
 
 SIM = ["simulate", "--preset", "3x1", "--trials", "64", "--threads", "1"]
+OPT = ["optimize-constellation", "--preset", "3x1", "--b-step", "0.5"]
 
 # an optimize-constellation manifest as written before it recorded its inputs
 OLD_OPTIMIZE_MANIFEST = json.dumps({
@@ -270,8 +271,13 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
     (SIM + ["--snr", "10", "--seed", "-1"], None, "seed"),
     (SIM + ["--snr", "10", "--seed", str(1 << 128)], None, "seed"),
     (["optimize-constellation"], OLD_OPTIMIZE_MANIFEST, "base"),
+    (["check-constellation", "3x4", "--tol", "-1"], None, "tol"),
+    (["check-constellation", "3x1", "--tol", "nan"], None, "tol"),
+    (OPT + ["--budget", "nan"], None, "budget"),
+    (OPT + ["--budget", "inf"], None, "budget"),
 ], ids=["empty-snr-item", "trials-abc", "truncated-manifest", "snr-nan", "unknown-key",
-        "negative-seed", "wide-seed", "old-optimize-manifest"])
+        "negative-seed", "wide-seed", "old-optimize-manifest", "tol-negative", "tol-nan",
+        "budget-nan", "budget-inf"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, config, key):
     written = []
     if config is not None:
@@ -279,7 +285,9 @@ def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, config, key):
         cfg.write_text(config)
         argv = argv + ["--config", cfg]
         written.append(cfg)
-    assert run(argv + ["--out", tmp_path / "out.csv"]) == 2
+    if "out" in COMMANDS[argv[0]][1]:
+        argv = argv + ["--out", tmp_path / "out.csv"]
+    assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert key in err

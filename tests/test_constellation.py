@@ -343,6 +343,19 @@ def test_optimizer_rejects_bad_budget():
     base = ConstellationSets((np.array([-1.0, 1.0]),), 1)
     with pytest.raises(ConfigurationError):
         optimize_rotations_scalings(base, GridSpec(0.5, np.pi), 0.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ConfigurationError, match="budget"):
+            optimize_rotations_scalings(base, GridSpec(0.5, np.pi), bad)
+
+
+def test_rejects_bad_tol():
+    base = ConstellationSets((np.array([-1.0, 1.0]), np.array([-1j, 1j])), 1)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="tol"):
+            check_full_diversity(base, bad)
+        with pytest.raises(ConfigurationError, match="tol"):
+            optimize_rotations_scalings(base, GridSpec(0.5, np.pi), 2.0, tol=bad)
+    assert check_full_diversity(base, 0.0).passes
 
 
 def test_grid_spec_values():

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdprecode.channel import gram_cross_terms, sample_channel
+from fdprecode.channel import gram_polar, sample_channel
 from fdprecode.errors import ConfigurationError
 from fdprecode.precoder import (
     angles_for_channel,
     build_precoder,
-    compute_feedback_angles,
     effective_channel,
+    feedback_angles_batch,
     per_antenna_phase_residuals,
     phase_condition_residual,
     precoder_matrix,
@@ -31,11 +31,20 @@ def test_angles_hand_case_real():
 
 def test_angles_hand_case_quadrature():
     h = np.array([[1.0, 1.0j]])
-    ct = gram_cross_terms(h)
-    theta = compute_feedback_angles(ct)
+    rho, alpha = gram_polar(h[None])
+    theta = feedback_angles_batch(rho, alpha)[0]
     # alpha_21 = -pi/2, so theta_2 = -pi; the zero-crossing holds exactly
     assert theta[1] == pytest.approx(-np.pi, abs=1e-15)
-    assert np.cos(theta[0] - theta[1] + ct.alpha[1, 0]) == pytest.approx(0.0, abs=1e-15)
+    assert np.cos(theta[0] - theta[1] + alpha[0, 0]) == pytest.approx(0.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("nt, nr", [(3, 2), (8, 1)])
+def test_single_channel_angles_equal_batch_rows(nt, nr):
+    g = substream(17, 0, nt, nr).standard_normal((2, 256, nr, nt))
+    h = (g[0] + 1j * g[1]) / np.sqrt(2.0)
+    batch = feedback_angles_batch(*gram_polar(h))
+    for b in range(h.shape[0]):
+        assert np.array_equal(angles_for_channel(h[b]), batch[b])
 
 
 def test_angles_require_two_antennas():
