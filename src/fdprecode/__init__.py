@@ -7,11 +7,13 @@ with sum-injective constellation sets it achieves the full nt * nr diversity
 order. The package implements the closed-form math, verifies its invariants
 numerically, and reproduces the experimental methodology (CER sweeps,
 normalized d^2_min distribution tests, diversity-slope fits) at desk scale.
+Every random draw comes from one counter-based Philox path (`streams`),
+addressed by seed, purpose, SNR point and trial.
 """
 
 __version__ = "0.1.0"
 
-from .channel import gram_polar, sample_channel, sample_noise
+from .channel import gram_polar
 from .constellation import (
     ConstellationSets,
     DiversityReport,
@@ -29,11 +31,10 @@ from .constellation import (
     save_constellation,
     sum_constellation,
 )
-from .detector import FastMLDecoder, ml_decode_bruteforce, ml_decode_fast
+from .detector import FastMLDecoder, ml_decode_bruteforce
 from .errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesignError
 from .precoder import (
     angles_for_channel,
-    build_precoder,
     effective_channel,
     feedback_angles_batch,
     per_antenna_phase_residuals,
@@ -50,19 +51,18 @@ from .simulator import (
     sample_dmin_pdf,
     wilson_interval,
 )
-from .streams import substream
 
 __all__ = [
-    "gram_polar", "sample_channel", "sample_noise",
+    "gram_polar",
     "ConstellationSets", "DiversityReport", "GridSpec", "OptimizationResult",
     "SumConstellation", "average_energy", "check_full_diversity",
     "geometric_qam_family", "load_constellation", "min_sum_distance",
     "optimize_rotations_scalings", "preset", "qam_points", "save_constellation",
-    "sum_constellation", "FastMLDecoder", "ml_decode_bruteforce", "ml_decode_fast",
+    "sum_constellation", "FastMLDecoder", "ml_decode_bruteforce",
     "ConfigurationError", "EnumerationBudgetError", "InfeasibleDesignError",
-    "angles_for_channel", "build_precoder", "effective_channel",
+    "angles_for_channel", "effective_channel",
     "feedback_angles_batch", "per_antenna_phase_residuals", "phase_condition_residual",
     "precoder_matrix", "CerCurve", "DminSamples", "SimConfig",
     "estimate_diversity_slope", "ks_test_chisq", "run_cer_sweep", "sample_dmin_pdf",
-    "wilson_interval", "substream",
+    "wilson_interval",
 ]

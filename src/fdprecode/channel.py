@@ -1,4 +1,4 @@
-"""Rayleigh MIMO channel, receiver cross-correlation statistics, and AWGN.
+"""Rayleigh MIMO channel and receiver cross-correlation statistics.
 
 A channel matrix is a complex ndarray of shape (nr, nt): row = receive
 antenna, column = transmit antenna, entries i.i.d. CN(0, 1) with total unit
@@ -11,22 +11,19 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def sample_channel(nt: int, nr: int, stream: np.random.Generator) -> np.ndarray:
-    """Draw an (nr, nt) matrix of i.i.d. CN(0, 1) gains from `stream`."""
+def rayleigh(normals: np.ndarray, nr: int, nt: int) -> np.ndarray:
+    """(B, nr, nt) channels of i.i.d. CN(0, 1) gains from (B, 2 * nr * nt) standard normals.
+
+    In each row the first nr * nt normals are the real parts and the rest the
+    imaginary parts, both in row-major (receive, transmit) order.
+    """
     if nt < 1 or nr < 1:
         raise ConfigurationError(f"antenna counts must be >= 1, got nt={nt}, nr={nr}")
-    g = stream.standard_normal((2, nr, nt))
-    return (g[0] + 1j * g[1]) / np.sqrt(2.0)
-
-
-def sample_noise(nr: int, sigma2: float, stream: np.random.Generator) -> np.ndarray:
-    """Draw an (nr,) CN(0, sigma2) noise vector; sigma2 is the total per-entry variance."""
-    if nr < 1:
-        raise ConfigurationError(f"nr must be >= 1, got nr={nr}")
-    if sigma2 <= 0:
-        raise ConfigurationError(f"noise variance must be positive, got {sigma2}")
-    g = stream.standard_normal((2, nr))
-    return (g[0] + 1j * g[1]) * np.sqrt(sigma2 / 2.0)
+    k = nr * nt
+    if normals.ndim != 2 or normals.shape[1] != 2 * k:
+        raise ConfigurationError(f"need (B, {2 * k}) normals for {nr}x{nt} channels, "
+                                 f"got shape {normals.shape}")
+    return (normals[:, :k] + 1j * normals[:, k:]).reshape(-1, nr, nt) / np.sqrt(2.0)
 
 
 def pair_columns(n: int) -> slice:

@@ -48,6 +48,7 @@ from .simulator import (
 
 _PRESET_RE = re.compile(r"^(\d+)[xX](\d+)$")
 _MAX_SNR_POINTS = 10000
+_MAX_BINS = 1 << 16
 
 
 def _fmt(value) -> str:
@@ -323,8 +324,8 @@ def cmd_optimize_constellation(args) -> int:
 def cmd_dmin_pdf(args) -> int:
     options = resolve_options(args)
     sets, _ = _load_sets(options, "dmin-pdf")
-    if options["bins"] < 1:
-        raise ConfigurationError(f"bins must be >= 1, got {options['bins']}")
+    if not 1 <= options["bins"] <= _MAX_BINS:
+        raise ConfigurationError(f"bins must lie in [1, {_MAX_BINS}], got {options['bins']}")
     nt, nr = sets.nt, options["nr"]
     cfg = SimConfig(nt=nt, nr=nr, constellation=sets, snr_grid_db=(0.0,),
                     trials_per_point=1, seed=options["seed"])

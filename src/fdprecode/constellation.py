@@ -28,6 +28,7 @@ from .errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesign
 
 DEFAULT_ENUM_BUDGET = 1 << 20
 DEFAULT_DISTINCT_TOL = 1e-12
+_MAX_GRID_POINTS = 1 << 16
 
 # 4-bit presets fail sum-injectivity under the odd-integer QAM convention
 UNVERIFIED_PRESETS = {(3, 4), (4, 4), (8, 4), (16, 4)}
@@ -111,14 +112,20 @@ class GridSpec:
             raise ConfigurationError(f"b_step must lie in (0, 1], got {self.b_step}")
         if not 0 < self.phi_step <= 2 * np.pi:
             raise ConfigurationError(f"phi_step must lie in (0, 2pi], got {self.phi_step}")
+        n_b, n_phi = self._counts()
+        if n_b * n_phi > _MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"b_step {self.b_step} and phi_step {self.phi_step} give {n_b:.3g} x {n_phi:.3g} "
+                f"grid points, more than {_MAX_GRID_POINTS}")
+
+    def _counts(self) -> tuple[float, float]:
+        return np.floor(1.0 / self.b_step + 1e-9), np.floor(2 * np.pi / self.phi_step - 1e-9) + 1
 
     def scale_values(self) -> np.ndarray:
-        n = int(np.floor(1.0 / self.b_step + 1e-9))
-        return np.arange(1, n + 1) * self.b_step
+        return np.arange(1, int(self._counts()[0]) + 1) * self.b_step
 
     def rotation_values(self) -> np.ndarray:
-        n = int(np.floor(2 * np.pi / self.phi_step - 1e-9)) + 1
-        return np.arange(n) * self.phi_step
+        return np.arange(int(self._counts()[1])) * self.phi_step
 
 
 @dataclass(frozen=True)

@@ -162,8 +162,3 @@ class FastMLDecoder:
             hi = min(lo + chunk, s_mf.size)
             out[lo:hi] = np.argmin(np.abs(s_mf[lo:hi, None] - self.sums[None, :]), axis=1)
         return out
-
-
-def ml_decode_fast(y: np.ndarray, h_eff: np.ndarray, sc: SumConstellation) -> int:
-    """One-shot fast decode; build a FastMLDecoder once for hot loops."""
-    return FastMLDecoder(sc).decode(y, h_eff)

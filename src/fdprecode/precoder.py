@@ -47,11 +47,6 @@ def feedback_angles_batch(rho: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return theta
 
 
-def build_precoder(theta: np.ndarray) -> np.ndarray:
-    """Unit-modulus precoder column a_i = exp(1j * theta_i)."""
-    return np.exp(1j * np.asarray(theta, dtype=float))
-
-
 def precoder_matrix(a: np.ndarray) -> np.ndarray:
     """Materialize the rank-one (nt, nt) matrix whose every column is a."""
     a = np.asarray(a, dtype=complex)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammainc, kolmogorov
 
 from . import streams
-from .channel import gram_polar
+from .channel import gram_polar, rayleigh
 from .constellation import ConstellationSets, average_energy, sum_constellation
 from .detector import FastMLDecoder, codeword_matrix, exhaustive_decode_batch
 from .errors import ConfigurationError
@@ -132,7 +132,6 @@ class _Engine:
         nt, nr = cfg.nt, cfg.nr
         self.n_h = 2 * nr * nt
         self.words_per_trial = self.n_h + nt + 2 * nr
-        self.blocks_per_trial = (self.words_per_trial + 3) // 4
         if cfg.scheme == "proposed":
             self.decoder = FastMLDecoder(sum_constellation(cs))
             self.codewords = None
@@ -148,16 +147,14 @@ class _Engine:
     def run_batch(self, point_idx: int, sigma2: float, first: int, count: int) -> int:
         cfg = self.cfg
         nt, nr = cfg.nt, cfg.nr
-        raw = streams.raw_block(cfg.seed, streams.PURPOSE_CER, point_idx,
-                                first * self.blocks_per_trial, count * self.blocks_per_trial)
-        u = streams.uniform_open(raw.reshape(count, 4 * self.blocks_per_trial))
-        g = streams.normal_from_uniform(u[:, :self.n_h])
-        h = (g[:, :nr * nt] + 1j * g[:, nr * nt:self.n_h]).reshape(count, nr, nt) / np.sqrt(2.0)
+        u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_CER, point_idx, first, count,
+                                   self.words_per_trial)
+        h = rayleigh(streams.normal_from_uniform(u[:, :self.n_h]), nr, nt)
         cw = _per_antenna_indices(u[:, self.n_h:self.n_h + nt], self.sizes)
         if cfg.noiseless:
             noise = 0.0
         else:
-            gn = streams.normal_from_uniform(u[:, self.n_h + nt:self.words_per_trial])
+            gn = streams.normal_from_uniform(u[:, self.n_h + nt:])
             noise = (gn[:, :nr] + 1j * gn[:, nr:]) * np.sqrt(sigma2 / 2.0)
 
         true_idx = np.zeros(count, dtype=np.int64)
@@ -241,12 +238,9 @@ def sample_dmin_pdf(cfg: SimConfig, count: int, threads: int = 1) -> DminSamples
     if count < 1:
         raise ConfigurationError(f"count must be >= 1, got {count}")
     nt, nr = cfg.nt, cfg.nr
-    words = 2 * nr * nt
-    bpt = (words + 3) // 4
 
     def draw(first, n):
-        raw = streams.raw_block(cfg.seed, streams.PURPOSE_DMIN, 0, first * bpt, n * bpt)
-        u = streams.uniform_open(raw.reshape(n, 4 * bpt))[:, :words]
+        u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_DMIN, 0, first, n, 2 * nr * nt)
         g = streams.normal_from_uniform(u)
         return np.sum(g * g, axis=1)  # 2*|h|^2 summed = 2*||H||_F^2 directly
 

@@ -1,39 +1,26 @@
-"""Counter-based random substreams for reproducible parallel Monte Carlo.
+"""Counter-based random draws for reproducible parallel Monte Carlo.
 
 All randomness in the package is drawn from Philox-4x64 keyed by the user
-seed. A substream is addressed by up to three 64-bit path components packed
-into the high words of the 256-bit counter; the low 64-bit word is left for
-the stream position. Because Philox output depends only on (key, counter),
-any partition of work across threads or processes reproduces the same
-values, draw for draw.
+seed, at one kind of address: (seed, purpose, point, block). The purpose tag
+and the SNR-point index fill the two high 64-bit words of the 256-bit
+counter and the block position the low word. Each trial owns a fixed run of
+consecutive blocks (`trial_uniforms`). Because Philox output depends only on
+(key, counter), any partition of work across threads or processes
+reproduces the same values, draw for draw.
 """
 
 import numpy as np
 from scipy.special import ndtri
 
-# high-word layout of the 256-bit Philox counter: [position, lane, point, purpose]
-_POS_BITS = 64
-_LANE_SHIFT = 64
+# 256-bit Philox counter, low to high word: [block, 0, point, purpose]
 _POINT_SHIFT = 128
 _PURPOSE_SHIFT = 192
+_BLOCKS_PER_POINT = 1 << 64
 
 # purpose tags keep independent uses of the same seed from colliding
 PURPOSE_ADHOC = 0
 PURPOSE_CER = 1
 PURPOSE_DMIN = 2
-
-
-def _counter(purpose: int, point: int = 0, lane: int = 0, position: int = 0) -> int:
-    for name, v in (("purpose", purpose), ("point", point), ("lane", lane)):
-        if not 0 <= v < (1 << 64):
-            raise ValueError(f"{name} must fit in 64 bits, got {v}")
-    return (purpose << _PURPOSE_SHIFT) | (point << _POINT_SHIFT) | (lane << _LANE_SHIFT) | position
-
-
-def substream(seed: int, purpose: int = PURPOSE_ADHOC, point: int = 0, lane: int = 0) -> np.random.Generator:
-    """Independent Generator for a fixed (seed, purpose, point, lane) address."""
-    bitgen = np.random.Philox(key=seed & ((1 << 128) - 1), counter=_counter(purpose, point, lane))
-    return np.random.Generator(bitgen)
 
 
 def raw_block(seed: int, purpose: int, point: int, start_block: int, n_blocks: int) -> np.ndarray:
@@ -42,13 +29,27 @@ def raw_block(seed: int, purpose: int, point: int, start_block: int, n_blocks: i
     Returns a uint64 array of length 4 * n_blocks. Values depend only on the
     address, never on how previous blocks were grouped into calls.
     """
-    # the range must stay inside the position word: a carry into the lane
-    # word would replay the draws of substream(seed, purpose, point, lane)
-    if start_block < 0 or n_blocks < 0 or start_block + n_blocks > (1 << _LANE_SHIFT):
+    for name, v in (("purpose", purpose), ("point", point)):
+        if not 0 <= v < (1 << 64):
+            raise ValueError(f"{name} must fit in 64 bits, got {v}")
+    # the range must stay inside the block word, so no two points share a block
+    if start_block < 0 or n_blocks < 0 or start_block + n_blocks > _BLOCKS_PER_POINT:
         raise ValueError("block range exceeds the per-point counter space")
-    bitgen = np.random.Philox(key=seed & ((1 << 128) - 1),
-                              counter=_counter(purpose, point, 0, 0) + start_block)
+    counter = (purpose << _PURPOSE_SHIFT) | (point << _POINT_SHIFT) | start_block
+    bitgen = np.random.Philox(key=seed & ((1 << 128) - 1), counter=counter)
     return bitgen.random_raw(4 * n_blocks)
+
+
+def trial_uniforms(seed: int, purpose: int, point: int, first: int, count: int,
+                   words: int) -> np.ndarray:
+    """(count, words) uniforms in (0, 1) for trials [first, first + count).
+
+    Trial t owns the ceil(words / 4) counter blocks from t * ceil(words / 4)
+    on; the words of its last block past `words` are discarded.
+    """
+    blocks = (words + 3) // 4
+    raw = raw_block(seed, purpose, point, first * blocks, count * blocks)
+    return uniform_open(raw.reshape(count, 4 * blocks))[:, :words]
 
 
 def uniform_open(raw: np.ndarray) -> np.ndarray:

@@ -19,9 +19,10 @@ import time
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 from scipy.special import gammainc, gammaincc, gammainccinv, gammaincinv
 
-from fdprecode.channel import gram_polar, pair_columns, sample_channel
+from fdprecode.channel import gram_polar, pair_columns
 from fdprecode.constellation import (
     ConstellationSets,
     GridSpec,
@@ -43,8 +44,9 @@ from fdprecode.simulator import (
     run_cer_sweep,
     sample_dmin_pdf,
 )
-from fdprecode.streams import substream
 from fdprecode.cli import main as cli_main
+
+from draws import channels
 
 CONFIGS = [(3, 1), (3, 2), (4, 1), (8, 1)]
 THREADS = min(8, os.cpu_count() or 1)
@@ -52,9 +54,7 @@ Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
 
 def batch_channels(nt, nr, count, seed):
-    rng = substream(seed, 0, nt, nr)
-    g = rng.standard_normal((2, count, nr, nt))
-    return (g[0] + 1j * g[1]) / np.sqrt(2.0)
+    return channels(seed, nt << 16 | nr, count, nr, nt)
 
 
 def batch_precoders(h):
@@ -73,7 +73,7 @@ def test_criterion_1_distance_identity():
         a = batch_precoders(h)
         f = np.repeat(a[:, :, None], nt, axis=2)
         x = codeword_matrix(preset(nt, 1))
-        rng = substream(102, 0, nt, nr)
+        rng = np.random.default_rng([102, nt, nr])
         ki = rng.integers(0, x.shape[0], size=(1000, 10))
         kj = (ki + 1 + rng.integers(0, x.shape[0] - 1, size=(1000, 10))) % x.shape[0]
         dx = x[ki] - x[kj]  # (1000, 10, nt), never the zero pair
@@ -178,8 +178,9 @@ def _stratified_cer(nt, nr, snr_db, point, seed):
     puts s strictly nearest and cannot err. Only the part r^2 >= t_j, of
     probability exp(-t_j), is sampled: r^2 = t_j + Exp(1) along h_eff, with
     the orthogonal noise drawn as usual. Every trial runs the program's
-    precoder and decoder, and stratum j of SNR point `point` draws from its
-    own substream lane.
+    precoder and decoder. Stratum j of SNR point `point` takes its channel
+    directions from point ``point << 16 | j`` of the test channels and its
+    other draws from its own seeded Generator.
 
     The identity is asserted on every channel. It is what makes the error
     depend on H through g alone and what clears the unsampled part, so a
@@ -200,11 +201,11 @@ def _stratified_cer(nt, nr, snr_db, point, seed):
     raw_errors = 0
     total_weight = 0.0
     for j in range(edges.size - 1):
-        rng = substream(seed, 0, point, j)
+        rng = np.random.default_rng([seed, point, j])
         u = rng.random(n) + 2.0 ** -54  # strictly inside (0, 1)
         g, w = _gamma_stratum(k, edges[j], edges[j + 1], u)
         assert np.all((g > 0) & np.isfinite(g))
-        z = (rng.standard_normal((n, nr, nt)) + 1j * rng.standard_normal((n, nr, nt))) / np.sqrt(2.0)
+        z = channels(seed, point << 16 | j, n, nr, nt)
         h = np.sqrt(g / np.sum(np.abs(z) ** 2, axis=(1, 2)))[:, None, None] * z
         h_eff = np.einsum("bon,bn->bo", h, batch_precoders(h))
         deviation = np.abs(np.sum(np.abs(h_eff) ** 2, axis=1) - g) / g
@@ -279,7 +280,7 @@ def test_criterion_5_decoder_equivalence():
         h = batch_channels(nt, 1, n, 500 + nt)
         a = batch_precoders(h)
         f = np.repeat(a[:, :, None], nt, axis=2)
-        rng = substream(501, 0, nt, bits)
+        rng = np.random.default_rng([501, nt, bits])
         k_true = rng.integers(0, x.shape[0], size=n)
         noise = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))) \
             * np.sqrt(sigma2 / 2)
@@ -297,36 +298,18 @@ def test_criterion_5_decoder_equivalence():
     report(5, "fast and brute-force ML identical on 2 x 1e4 noisy trials")
 
 
-def brute_force_min_distance(points):
-    """Literal all-pairs minimum distance.
+def exact_min_distance(points):
+    """Minimum pairwise distance, independent of the module's pair scan.
 
-    Scans every pair via the expansion |p_i - p_j|^2 = n_i + n_j - 2 p_i.p_j
-    (a chunked GEMM), then re-measures every near-minimal pair exactly as
-    abs() of the complex difference, the same metric the module uses.
+    A k-d tree finds every point's nearest neighbour; then every pair within
+    a hair of the smallest such distance is re-measured exactly as abs() of
+    the complex difference, the same metric the module uses.
     """
-    n = points.size
-    coords = np.stack([points.real, points.imag], axis=1)
-    norms = np.sum(coords * coords, axis=1)
-    chunk = max(1, (1 << 24) // n)
-
-    def pair_sq(lo, hi):
-        sq = norms[lo:hi, None] + norms[None, :] - 2.0 * (coords[lo:hi] @ coords.T)
-        sq[np.arange(lo, hi) - lo, np.arange(lo, hi)] = np.inf
-        return sq
-
-    best_sq = np.inf
-    for lo in range(0, n, chunk):
-        best_sq = min(best_sq, float(pair_sq(lo, min(lo + chunk, n)).min()))
-    # slack covers both the 1e-9 tie window and GEMM cancellation error
-    thresh = best_sq * (1 + 1e-9) + 1e-12
-    best = np.inf
-    for lo in range(0, n, chunk):
-        sq = pair_sq(lo, min(lo + chunk, n))
-        rows, cols = np.nonzero(sq <= thresh)
-        if rows.size:
-            exact = np.abs(points[rows + lo] - points[cols])
-            best = min(best, float(exact.min()))
-    return best
+    tree = cKDTree(np.stack([points.real, points.imag], axis=1))
+    nearest = float(tree.query(tree.data, k=2)[0][:, 1].min())
+    # slack covers both the 1e-9 tie window and the tree's rounding
+    pairs = tree.query_pairs(nearest * (1 + 1e-9) + 1e-12, output_type="ndarray")
+    return float(np.abs(points[pairs[:, 0]] - points[pairs[:, 1]]).min())
 
 
 def test_criterion_6_table_presets():
@@ -335,7 +318,7 @@ def test_criterion_6_table_presets():
         cs = preset(nt, bits)
         rep = check_full_diversity(cs, 1e-12)
         assert rep.passes, (nt, bits)
-        oracle = brute_force_min_distance(sum_constellation(cs).points)
+        oracle = exact_min_distance(sum_constellation(cs).points)
         module = min_sum_distance(cs)
         assert module == oracle, (nt, bits, module, oracle)
         if (nt, bits) in anchors:

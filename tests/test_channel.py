@@ -3,45 +3,49 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdprecode.channel import gram_polar, sample_channel, sample_noise
+from fdprecode.channel import gram_polar, rayleigh
 from fdprecode.errors import ConfigurationError
 from fdprecode.simulator import DminSamples, ks_test_chisq
-from fdprecode.streams import substream
+
+from draws import channels
 
 
 def test_sample_channel_deterministic_for_seed():
-    h1 = sample_channel(1, 1, substream(1234))
-    h2 = sample_channel(1, 1, substream(1234))
-    assert h1 == h2
-    h3 = sample_channel(3, 2, substream(77))
-    h4 = sample_channel(3, 2, substream(77))
+    h1 = channels(1234, 0, 1, 1, 1)
+    h2 = channels(1234, 0, 1, 1, 1)
+    assert np.array_equal(h1, h2)
+    h3 = channels(77, 0, 5, 2, 3)
+    h4 = channels(77, 0, 5, 2, 3)
     assert np.array_equal(h3, h4)
-    assert h3.shape == (2, 3)
+    assert h3.shape == (5, 2, 3)
 
 
 def test_sample_channel_invalid_dimensions():
     with pytest.raises(ConfigurationError):
-        sample_channel(0, 1, substream(0))
+        rayleigh(np.zeros((1, 0)), 1, 0)
     with pytest.raises(ConfigurationError):
-        sample_channel(2, -1, substream(0))
+        rayleigh(np.zeros((1, 4)), -1, 2)
+    with pytest.raises(ConfigurationError):
+        rayleigh(np.zeros((1, 5)), 1, 2)
 
 
+# the channel-law tests draw 100000 CN(0, 1) gains as 100000 1x1 trials
 def test_channel_second_moment_unit():
-    h = sample_channel(1, 1, substream(2024, 0, 1))
-    samples = np.abs(sample_channel(100000, 1, substream(2024, 0, 2))) ** 2
+    h = channels(2024, 1 << 16, 1, 1, 1)
+    samples = np.abs(channels(2024, 2 << 16, 100000, 1, 1)) ** 2
     mean = samples.mean()
     assert 0.99 <= mean <= 1.01
     assert abs(h) < 10  # sanity on a single draw
 
 
 def test_channel_mean_near_zero():
-    h = sample_channel(100000, 1, substream(55))
+    h = channels(55, 0, 100000, 1, 1)
     assert abs(h.mean()) < 0.01
 
 
 def test_channel_magnitude_chisquare():
     # 2|h|^2 for CN(0,1) entries is chi-square with 2 degrees of freedom
-    h = sample_channel(100000, 1, substream(31))
+    h = channels(31, 0, 100000, 1, 1)
     z = 2.0 * np.abs(h.ravel()) ** 2
     stat, p = ks_test_chisq(DminSamples(samples=z, nt=1, nr=1), 2)
     assert p >= 0.01, (stat, p)
@@ -72,7 +76,7 @@ def test_gram_negative_real_phase_is_principal():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.integers(2, 6), st.integers(1, 4))
 def test_polar_reconstruction(seed, nt, nr):
-    h = sample_channel(nt, nr, substream(seed))
+    h = channels(seed, 0, 1, nr, nt)[0]
     rho, alpha = gram_polar(h[None])
     assert rho.shape == alpha.shape == (1, nt * (nt - 1) // 2)
     for k, (n, m) in enumerate(zip(*np.tril_indices(nt, -1))):
@@ -86,7 +90,7 @@ def test_polar_reconstruction(seed, nt, nr):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_gram_hermitian_symmetry(seed):
-    h = sample_channel(4, 2, substream(seed))
+    h = channels(seed, 0, 1, 2, 4)[0]
     rho, alpha = gram_polar(h[None])
     g = rho[0] * np.exp(1j * alpha[0])
     pairs = list(zip(*np.tril_indices(4, -1)))
@@ -99,23 +103,3 @@ def test_gram_hermitian_symmetry(seed):
                 assert g[pairs.index((n, m))] == pytest.approx(gnm, abs=1e-12)
             elif n < m:
                 assert np.conj(g[pairs.index((m, n))]) == pytest.approx(gnm, abs=1e-12)
-
-
-def test_sample_noise_moments():
-    n = sample_noise(100000, 4.0, substream(7))
-    mean_power = np.mean(np.abs(n) ** 2)
-    assert 3.95 <= mean_power <= 4.05
-    # each quadrature carries half the variance
-    assert np.var(n.real) == pytest.approx(2.0, rel=0.03)
-    assert np.var(n.imag) == pytest.approx(2.0, rel=0.03)
-
-
-def test_sample_noise_reproducible():
-    assert np.array_equal(sample_noise(8, 0.5, substream(3)), sample_noise(8, 0.5, substream(3)))
-
-
-def test_sample_noise_rejects_bad_variance():
-    with pytest.raises(ConfigurationError):
-        sample_noise(2, 0.0, substream(0))
-    with pytest.raises(ConfigurationError):
-        sample_noise(2, -1.0, substream(0))

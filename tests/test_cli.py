@@ -275,9 +275,12 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
     (["check-constellation", "3x1", "--tol", "nan"], None, "tol"),
     (OPT + ["--budget", "nan"], None, "budget"),
     (OPT + ["--budget", "inf"], None, "budget"),
+    (OPT[:3] + ["--budget", "3", "--b-step", "1e-300"], None, "b_step"),
+    (OPT[:3] + ["--budget", "3", "--phi-step", "1e-300"], None, "phi_step"),
+    (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--bins", "1000000000000"], None, "bins"),
 ], ids=["empty-snr-item", "trials-abc", "truncated-manifest", "snr-nan", "unknown-key",
         "negative-seed", "wide-seed", "old-optimize-manifest", "tol-negative", "tol-nan",
-        "budget-nan", "budget-inf"])
+        "budget-nan", "budget-inf", "b-step-tiny", "phi-step-tiny", "bins-huge"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, config, key):
     written = []
     if config is not None:

@@ -21,7 +21,6 @@ from fdprecode.constellation import (
     sum_constellation,
 )
 from fdprecode.errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesignError
-from fdprecode.streams import substream
 
 
 def brute_min_pairwise(points):
@@ -113,7 +112,7 @@ def test_average_energy_values():
 
 def test_average_energy_matches_monte_carlo():
     cs = preset(4, 1)
-    rng = substream(404)
+    rng = np.random.default_rng([404, 0, 0])
     idx = rng.integers(0, 2, size=(100000, 4))
     sums = sum(cs.sets[i][idx[:, i]] for i in range(4))
     assert np.mean(np.abs(sums) ** 2) == pytest.approx(average_energy(cs), rel=0.02)
@@ -249,7 +248,7 @@ def test_prime_root_scalings_pass():
 @given(st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(1, 2))
 def test_injectivity_equivalence_with_pair_oracle(seed, nt, bits):
     # random small integer-grid sets, compared against the pair-exhaustive oracle
-    rng = substream(seed, 0, nt, bits)
+    rng = np.random.default_rng([seed, nt, bits])
     size = 1 << bits
     sets = []
     for _ in range(nt):
@@ -366,6 +365,15 @@ def test_grid_spec_values():
         GridSpec(0.0, 1.0)
     with pytest.raises(ConfigurationError):
         GridSpec(0.5, 0.0)
+    # the steps the benchmark and criterion 7 use stay under the point cap
+    for b_step in (0.025, 0.05):
+        for phi_step in (np.pi / 36, np.pi / 18):
+            g = GridSpec(b_step, phi_step)
+            assert g.scale_values().size * g.rotation_values().size <= 2880
+    assert GridSpec(1 / 256, 2 * np.pi / 256).rotation_values().size == 256  # 65536 points
+    for b_step, phi_step in [(1e-300, np.pi), (0.5, 1e-300), (5e-324, 1.0), (1 / 512, 2 * np.pi / 256)]:
+        with pytest.raises(ConfigurationError, match="grid points"):
+            GridSpec(b_step, phi_step)
 
 
 # ------------------------------------------------------------------- file IO

@@ -2,22 +2,18 @@ import numpy as np
 import pytest
 
 from fdprecode.constellation import ConstellationSets, SumConstellation, preset, sum_constellation
-from fdprecode.detector import (
-    FastMLDecoder,
-    codeword_matrix,
-    ml_decode_bruteforce,
-    ml_decode_fast,
-)
+from fdprecode.detector import FastMLDecoder, codeword_matrix, ml_decode_bruteforce
 from fdprecode.errors import ConfigurationError, EnumerationBudgetError
-from fdprecode.precoder import angles_for_channel, build_precoder, effective_channel
-from fdprecode.channel import sample_channel
-from fdprecode.streams import substream
+from fdprecode.precoder import angles_for_channel, effective_channel
+
+from draws import channels
 
 
-def random_link(nt, nr, rng):
-    h = sample_channel(nt, nr, rng)
-    a = build_precoder(angles_for_channel(h))
-    return h, a, effective_channel(h, a)
+def links(seed, count, nr, nt):
+    """(h, a, h_eff) for `count` channels at point 0 of `seed`."""
+    for h in channels(seed, 0, count, nr, nt):
+        a = np.exp(1j * angles_for_channel(h))
+        yield h, a, effective_channel(h, a)
 
 
 def test_codeword_matrix_order_matches_index_map():
@@ -31,39 +27,36 @@ def test_codeword_matrix_order_matches_index_map():
 
 
 def test_bruteforce_noiseless_exact():
-    rng = substream(60)
+    rng = np.random.default_rng([60, 0, 0])
     for nt, bits in [(3, 1), (4, 2)]:
         cs = preset(nt, bits)
         x = codeword_matrix(cs)
-        for _ in range(50):
-            h, a, _ = random_link(nt, 1, rng)
+        for h, a, _ in links(60, 50, 1, nt):
             k = int(rng.integers(x.shape[0]))
             y = h @ (np.repeat(a[:, None], nt, axis=1) @ x[k])
             assert ml_decode_bruteforce(y, h, a, cs) == k
 
 
 def test_fast_noiseless_exact():
-    rng = substream(61)
+    rng = np.random.default_rng([61, 0, 0])
     for nt, bits in [(3, 1), (4, 2), (8, 1)]:
         cs = preset(nt, bits)
         sc = sum_constellation(cs)
         dec = FastMLDecoder(sc)
-        for _ in range(50):
-            _, _, he = random_link(nt, 2, rng)
+        for _, _, he in links(61, 50, 2, nt):
             k = int(rng.integers(sc.size))
             y = he * sc.points[k]
             assert dec.decode(y, he) == k
 
 
 def test_decoders_agree_on_noisy_trials():
-    rng = substream(62)
+    rng = np.random.default_rng([62, 0, 0])
     for nt, bits, sigma in [(3, 1, 0.6), (4, 2, 0.3)]:
         cs = preset(nt, bits)
         sc = sum_constellation(cs)
         dec = FastMLDecoder(sc)
         x = codeword_matrix(cs)
-        for _ in range(1000):
-            h, a, he = random_link(nt, 1, rng)
+        for h, a, he in links(62, 1000, 1, nt):
             k = int(rng.integers(x.shape[0]))
             noise = (rng.standard_normal(1) + 1j * rng.standard_normal(1)) * sigma
             y = he * sc.points[k] + noise
@@ -83,17 +76,16 @@ def test_tie_break_smallest_index():
     minimizers = np.nonzero(metrics == metrics.min())[0]
     assert minimizers.size > 1
     assert ml_decode_bruteforce(y, h, a, cs) == minimizers[0]
-    assert ml_decode_fast(y, he, sc) == minimizers[0]
+    assert FastMLDecoder(sc).decode(y, he) == minimizers[0]
 
 
 def test_scale_equivariance():
-    rng = substream(63)
+    rng = np.random.default_rng([63, 0, 0])
     cs = preset(3, 1)
     sc = sum_constellation(cs)
     dec = FastMLDecoder(sc)
     c = 0.37 - 1.2j
-    for _ in range(200):
-        _, _, he = random_link(3, 2, rng)
+    for _, _, he in links(63, 200, 2, 3):
         k = int(rng.integers(sc.size))
         y = he * sc.points[k] + 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
         assert dec.decode(y, he) == dec.decode(c * y, c * he)
@@ -118,9 +110,9 @@ def test_big_sum_constellation_decode_latency():
     import time
     cs = preset(8, 2)
     dec = FastMLDecoder(sum_constellation(cs))
-    rng = substream(65)
+    rng = np.random.default_rng([65, 0, 0])
     n = 1000
-    he = (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))) / np.sqrt(2)
+    he = channels(65, 0, n, 1, 1)[:, :, 0]
     y = he * 0.5 + 0.1 * (rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1)))
     t0 = time.monotonic()
     out = dec.decode_batch(y, he)
@@ -130,13 +122,12 @@ def test_big_sum_constellation_decode_latency():
 
 
 def test_decode_batch_matches_scalar_decode():
-    rng = substream(64)
+    rng = np.random.default_rng([64, 0, 0])
     cs = preset(4, 1)
     sc = sum_constellation(cs)
     dec = FastMLDecoder(sc)
     ys, hes = [], []
-    for _ in range(64):
-        _, _, he = random_link(4, 2, rng)
+    for _, _, he in links(64, 64, 2, 4):
         k = int(rng.integers(sc.size))
         ys.append(he * sc.points[k] + 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)))
         hes.append(he)
@@ -176,7 +167,7 @@ def test_grid_decoder_matches_argmin_on_presets(nt, bits, sample):
     assert dec._grid is not None
     # a sum point is its own unique nearest point (distance 0 in an injective table)
     assert np.array_equal(_decode_queries(dec, sc.points), np.arange(sc.size))
-    q = _hard_queries(sc.points, substream(66, 0, nt, bits), sample)
+    q = _hard_queries(sc.points, np.random.default_rng([66, nt, bits]), sample)
     assert np.array_equal(_decode_queries(dec, q), _argmin_oracle(q, sc.points))
 
 
@@ -200,7 +191,7 @@ def _off_lattice_sums(kind, rng):
 
 @pytest.mark.parametrize("kind, gridded", [("random", False), ("jittered", True), ("holes", True)])
 def test_grid_decoder_matches_argmin_off_lattice(kind, gridded):
-    rng = substream(67)
+    rng = np.random.default_rng([67, 0, 0])
     sc = _off_lattice_sums(kind, rng)
     dec = FastMLDecoder(sc)
     assert (dec._grid is not None) == gridded
@@ -229,4 +220,4 @@ def test_grid_tie_break_smallest_index(sign):
     assert minimizers.size > 1
     assert np.abs(sc.points[minimizers[0]]) < 0.25  # inside the certified radius d_min
     assert ml_decode_bruteforce(y, h, a, cs) == minimizers[0]
-    assert ml_decode_fast(y, he, sc) == minimizers[0]
+    assert FastMLDecoder(sc).decode(y, he) == minimizers[0]

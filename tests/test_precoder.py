@@ -3,18 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdprecode.channel import gram_polar, sample_channel
+from fdprecode.channel import gram_polar
 from fdprecode.errors import ConfigurationError
 from fdprecode.precoder import (
     angles_for_channel,
-    build_precoder,
     effective_channel,
     feedback_angles_batch,
     per_antenna_phase_residuals,
     phase_condition_residual,
     precoder_matrix,
 )
-from fdprecode.streams import substream
+
+from draws import channels
 
 CONFIGS = [(3, 1), (3, 2), (4, 1), (8, 1)]
 
@@ -40,8 +40,7 @@ def test_angles_hand_case_quadrature():
 
 @pytest.mark.parametrize("nt, nr", [(3, 2), (8, 1)])
 def test_single_channel_angles_equal_batch_rows(nt, nr):
-    g = substream(17, 0, nt, nr).standard_normal((2, 256, nr, nt))
-    h = (g[0] + 1j * g[1]) / np.sqrt(2.0)
+    h = channels(17, nt << 16 | nr, 256, nr, nt)
     batch = feedback_angles_batch(*gram_polar(h))
     for b in range(h.shape[0]):
         assert np.array_equal(angles_for_channel(h[b]), batch[b])
@@ -54,13 +53,13 @@ def test_angles_require_two_antennas():
 
 def test_first_angle_zero_and_payload_size():
     for nt, nr in CONFIGS:
-        theta = angles_for_channel(sample_channel(nt, nr, substream(5, 0, nt, nr)))
+        theta = angles_for_channel(channels(5, nt << 16 | nr, 1, nr, nt)[0])
         assert theta.shape == (nt,)
         assert theta[0] == 0.0  # the feedback payload is theta[1:], nt - 1 reals
 
 
 def test_phase_condition_residual_random():
-    h = sample_channel(3, 2, substream(11))
+    h = channels(11, 0, 1, 2, 3)[0]
     theta = angles_for_channel(h)
     assert abs(phase_condition_residual(h, theta)) < 1e-12 * frob2(h)
 
@@ -68,7 +67,7 @@ def test_phase_condition_residual_random():
 def test_per_antenna_residuals_random():
     for nt, nr in CONFIGS:
         for seed in range(10):
-            h = sample_channel(nt, nr, substream(seed, 0, nt, nr))
+            h = channels(seed, nt << 16 | nr, 1, nr, nt)[0]
             theta = angles_for_channel(h)
             res = per_antenna_phase_residuals(h, theta)
             assert np.max(np.abs(res)) < 1e-9 * frob2(h)
@@ -83,25 +82,17 @@ def test_residual_hand_cases():
     assert phase_condition_residual(h, np.array([0.3, -1.2])) == 0.0
 
 
-def test_build_precoder_values():
-    a = build_precoder(np.array([0.0, -np.pi / 2]))
-    assert a[0] == 1.0 + 0.0j
-    assert a[1] == pytest.approx(-1.0j, abs=1e-15)
-    theta = substream(9).uniform(-10, 10, size=6)
-    assert np.max(np.abs(np.abs(build_precoder(theta)) - 1.0)) < 1e-15
-
-
 def test_precoder_matrix_rank_one_action():
-    rng = substream(21)
+    rng = np.random.default_rng([21, 0, 0])
     theta = rng.uniform(-np.pi, np.pi, size=5)
-    a = build_precoder(theta)
+    a = np.exp(1j * theta)
     f = precoder_matrix(a)
     x = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     assert np.allclose(f @ x, a * np.sum(x), rtol=0, atol=1e-12)
 
 
 def test_all_zero_angles_give_all_ones_action():
-    f = precoder_matrix(build_precoder(np.zeros(4)))
+    f = precoder_matrix(np.exp(1j * np.zeros(4)))
     x = np.arange(1.0, 5.0) + 0j
     assert np.array_equal(f @ x, np.full(4, x.sum()))
 
@@ -115,19 +106,18 @@ def test_effective_channel_hand_case():
 def test_norm_identity_all_configs():
     for nt, nr in CONFIGS:
         for seed in range(250):
-            h = sample_channel(nt, nr, substream(seed, 0, 10 * nt + nr))
-            he = effective_channel(h, build_precoder(angles_for_channel(h)))
+            h = channels(seed, (10 * nt + nr) << 16, 1, nr, nt)[0]
+            he = effective_channel(h, np.exp(1j * angles_for_channel(h)))
             f2 = frob2(h)
             assert abs(np.sum(np.abs(he) ** 2) - f2) < 1e-9 * f2
 
 
 def test_distance_identity_against_bruteforce():
     # oracle: full ||H F dx||^2 with F materialized, vs ||H||_F^2 |sum dx|^2
-    rng = substream(123)
+    rng = np.random.default_rng([123, 0, 0])
     for nt, nr in CONFIGS:
-        for _ in range(250):
-            h = sample_channel(nt, nr, rng)
-            f = precoder_matrix(build_precoder(angles_for_channel(h)))
+        for h in channels(123, 0, 250, nr, nt):
+            f = precoder_matrix(np.exp(1j * angles_for_channel(h)))
             dx = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
             lhs = float(np.sum(np.abs(h @ (f @ dx)) ** 2))
             rhs = frob2(h) * abs(np.sum(dx)) ** 2
@@ -138,8 +128,8 @@ def test_identity_fails_without_feedback():
     # witnesses that the feedback is necessary: theta = 0 breaks the identity
     violations = 0
     for seed in range(50):
-        h = sample_channel(3, 1, substream(seed, 0, 999))
-        he = effective_channel(h, build_precoder(np.zeros(3)))
+        h = channels(seed, 999 << 16, 1, 1, 3)[0]
+        he = effective_channel(h, np.exp(1j * np.zeros(3)))
         f2 = frob2(h)
         if abs(np.sum(np.abs(he) ** 2) - f2) > 1e-3 * f2:
             violations += 1
@@ -149,7 +139,7 @@ def test_identity_fails_without_feedback():
 def test_branch_insensitivity():
     # either atan2 root zeroes that antenna's inner sum
     for seed in range(20):
-        h = sample_channel(5, 2, substream(seed, 0, 12345))
+        h = channels(seed, 12345 << 16, 1, 2, 5)[0]
         theta = angles_for_channel(h)
         f2 = frob2(h)
         for n in range(1, 5):
@@ -161,8 +151,8 @@ def test_branch_insensitivity():
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.floats(-10, 10, allow_nan=False))
 def test_global_phase_invariance(seed, shift):
-    h = sample_channel(4, 2, substream(seed))
+    h = channels(seed, 0, 1, 2, 4)[0]
     theta = angles_for_channel(h)
-    p1 = np.sum(np.abs(effective_channel(h, build_precoder(theta))) ** 2)
-    p2 = np.sum(np.abs(effective_channel(h, build_precoder(theta + shift))) ** 2)
+    p1 = np.sum(np.abs(effective_channel(h, np.exp(1j * theta))) ** 2)
+    p2 = np.sum(np.abs(effective_channel(h, np.exp(1j * (theta + shift)))) ** 2)
     assert p2 == pytest.approx(p1, rel=1e-12)
