@@ -43,7 +43,6 @@ from .precoder import (
 )
 from .simulator import (
     CerCurve,
-    DminSamples,
     SimConfig,
     estimate_diversity_slope,
     ks_test_chisq,
@@ -62,7 +61,7 @@ __all__ = [
     "ConfigurationError", "EnumerationBudgetError", "InfeasibleDesignError",
     "angles_for_channel", "effective_channel",
     "feedback_angles_batch", "per_antenna_phase_residuals", "phase_condition_residual",
-    "precoder_matrix", "CerCurve", "DminSamples", "SimConfig",
+    "precoder_matrix", "CerCurve", "SimConfig",
     "estimate_diversity_slope", "ks_test_chisq", "run_cer_sweep", "sample_dmin_pdf",
     "wilson_interval",
 ]

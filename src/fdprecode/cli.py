@@ -333,8 +333,8 @@ def cmd_dmin_pdf(args) -> int:
     dof = 2 * nt * nr
     stat, p_value = ks_test_chisq(samples, dof)
 
-    counts, edges = np.histogram(samples.samples, bins=options["bins"])
-    density = counts / (samples.count * np.diff(edges))
+    counts, edges = np.histogram(samples, bins=options["bins"])
+    density = counts / (samples.size * np.diff(edges))
     out = args.out or "dmin_pdf.csv"
     with open(out, "w", encoding="ascii", newline="\n") as f:
         f.write("bin_lo,bin_hi,count,density\n")

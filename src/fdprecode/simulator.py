@@ -2,10 +2,12 @@
 
 Every trial owns a fixed-width window of the Philox counter space (see
 `streams`), so per-trial randomness depends only on (seed, purpose, SNR-point
-index, trial index). Trials are batched for vectorization and batches are
-grouped for the optional early-stopping rule; both batch and group sizes are
-constants, so error counts are bit-identical for any worker count and the
-stopping decision is too.
+index, trial index). CER sweeps and d^2_min sampling share one schedule,
+`_groups`: fixed-size batches of trials in fixed-size groups, each group
+built and run only when its turn comes, with the early-stopping rule checked
+between groups. So counts and the stopping decision are bit-identical for
+any worker count. Each call opens one thread pool when threads > 1; one
+thread runs every batch on the calling thread.
 
 SNR convention: the grid is average received SNR per receive antenna. For
 the proposed scheme E||H F x||^2 = nt * nr * Es (the rank-one precoder adds
@@ -15,6 +17,8 @@ Es = sum_i E|x_i|^2 in both cases.
 """
 
 import concurrent.futures
+import contextlib
+import functools
 import math
 from dataclasses import dataclass
 
@@ -33,6 +37,7 @@ SCHEMES = ("proposed", "unprecoded_vblast")
 _BATCH = 1 << 15        # trials vectorized together
 _GROUP_BATCHES = 4      # stopping-rule granularity, fixed so thread count is irrelevant
 _WILSON_Z = 1.959963984540054  # two-sided 95%
+_MAX_COUNT = 1 << 24    # d^2_min samples held at once for the sort and KS test (128 MB)
 
 
 @dataclass(frozen=True)
@@ -90,19 +95,6 @@ class CerCurve:
     ci_hi: np.ndarray
 
 
-@dataclass(frozen=True)
-class DminSamples:
-    """Normalized squared-minimum-distance samples z = 2 ||H||_F^2."""
-
-    samples: np.ndarray
-    nt: int
-    nr: int
-
-    @property
-    def count(self) -> int:
-        return self.samples.size
-
-
 def wilson_interval(errors, trials, z: float = _WILSON_Z):
     """Wilson score interval for a binomial proportion."""
     errors = np.asarray(errors, dtype=float)
@@ -121,22 +113,23 @@ def _per_antenna_indices(u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 
 class _Engine:
-    """Precomputed tables plus the per-batch trial pipeline for one config."""
+    """Precomputed tables plus the per-batch trial pipeline for one config;
+    `symbols[k]` is what codeword k sends: its sum, or its row (baseline)."""
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         cs = cfg.constellation
-        self.sets = cs.sets
         self.sizes = np.array([c.size for c in cs.sets], dtype=np.int64)
         self.es = average_energy(cs)
         nt, nr = cfg.nt, cfg.nr
         self.n_h = 2 * nr * nt
         self.words_per_trial = self.n_h + nt + 2 * nr
         if cfg.scheme == "proposed":
-            self.decoder = FastMLDecoder(sum_constellation(cs))
-            self.codewords = None
+            sums = sum_constellation(cs)
+            self.decoder = FastMLDecoder(sums)
+            self.symbols = sums.points
         else:
-            self.codewords = codeword_matrix(cs)
+            self.symbols = codeword_matrix(cs)
             self.decoder = None
 
     def sigma2(self, snr_db: float) -> float:
@@ -156,54 +149,41 @@ class _Engine:
         else:
             gn = streams.normal_from_uniform(u[:, self.n_h + nt:])
             noise = (gn[:, :nr] + 1j * gn[:, nr:]) * np.sqrt(sigma2 / 2.0)
-
-        true_idx = np.zeros(count, dtype=np.int64)
-        for i in range(nt):
-            true_idx = true_idx * self.sizes[i] + cw[:, i]
+        true_idx = np.ravel_multi_index(tuple(cw.T), self.sizes)
+        x = self.symbols[true_idx]
 
         if cfg.scheme == "proposed":
             rho, alpha = gram_polar(h)
             a = np.exp(1j * feedback_angles_batch(rho, alpha))
             h_eff = np.einsum("bon,bn->bo", h, a)
-            s = np.zeros(count, dtype=complex)
-            for i in range(nt):
-                s = s + self.sets[i][cw[:, i]]
-            y = h_eff * s[:, None] + noise
+            y = h_eff * x[:, None] + noise
             decisions = self.decoder.decode_batch(y, h_eff)
         else:
-            x = np.stack([self.sets[i][cw[:, i]] for i in range(nt)], axis=1)
             y = np.einsum("bon,bn->bo", h, x) + noise
-            decisions = exhaustive_decode_batch(y, h, self.codewords)
+            decisions = exhaustive_decode_batch(y, h, self.symbols)
         return int(np.count_nonzero(decisions != true_idx))
 
 
-def _run_point(engine: _Engine, point_idx: int, sigma2: float, threads: int):
-    cfg = engine.cfg
-    total = cfg.trials_per_point
-    batches = [(first, min(_BATCH, total - first)) for first in range(0, total, _BATCH)]
-    trials_done = 0
-    errors = 0
-    group = _GROUP_BATCHES
-
-    def run(b):
-        return engine.run_batch(point_idx, sigma2, b[0], b[1])
-
+def _pool(threads: int):
+    """Context giving a thread pool for threads > 1, else None (the calling thread)."""
     if threads > 1:
-        pool = concurrent.futures.ThreadPoolExecutor(max_workers=threads)
-    else:
-        pool = None
-    try:
-        for g0 in range(0, len(batches), group):
-            chunk = batches[g0:g0 + group]
-            counts = list(pool.map(run, chunk)) if pool else [run(b) for b in chunk]
-            errors += sum(counts)
-            trials_done += sum(c for _, c in chunk)
-            if cfg.target_errors is not None and errors >= cfg.target_errors:
-                break
-    finally:
-        if pool:
-            pool.shutdown()
-    return trials_done, errors
+        return concurrent.futures.ThreadPoolExecutor(max_workers=threads)
+    return contextlib.nullcontext()
+
+
+def _groups(fn, total: int, pool):
+    """Run fn(first, n) over trials 0..total-1, one group of batches at a time.
+
+    Yields (trials done so far, the group's results in batch order). A group
+    is built and submitted only when the caller asks for it, so stopping
+    early leaves nothing queued.
+    """
+    step = _GROUP_BATCHES * _BATCH
+    for g0 in range(0, total, step):
+        end = min(g0 + step, total)
+        firsts = range(g0, end, _BATCH)
+        counts = [min(_BATCH, end - first) for first in firsts]
+        yield end, list((pool.map if pool else map)(fn, firsts, counts))
 
 
 def run_cer_sweep(cfg: SimConfig, threads: int = 1) -> CerCurve:
@@ -217,16 +197,22 @@ def run_cer_sweep(cfg: SimConfig, threads: int = 1) -> CerCurve:
     engine = _Engine(cfg)
     trials = np.zeros(len(cfg.snr_grid_db), dtype=np.int64)
     errors = np.zeros(len(cfg.snr_grid_db), dtype=np.int64)
-    for k, snr_db in enumerate(cfg.snr_grid_db):
-        sigma2 = engine.sigma2(snr_db)
-        trials[k], errors[k] = _run_point(engine, k, sigma2, threads)
+    with _pool(threads) as pool:
+        for k, snr_db in enumerate(cfg.snr_grid_db):
+            sigma2 = engine.sigma2(snr_db)
+            run = functools.partial(engine.run_batch, k, sigma2)
+            for done, counts in _groups(run, cfg.trials_per_point, pool):
+                trials[k] = done
+                errors[k] += sum(counts)
+                if cfg.target_errors is not None and errors[k] >= cfg.target_errors:
+                    break
     cer = errors / trials
     lo, hi = wilson_interval(errors, trials)
     return CerCurve(snr_db=np.array(cfg.snr_grid_db), trials=trials, errors=errors,
                     cer=cer, ci_lo=lo, ci_hi=hi)
 
 
-def sample_dmin_pdf(cfg: SimConfig, count: int, threads: int = 1) -> DminSamples:
+def sample_dmin_pdf(cfg: SimConfig, count: int, threads: int = 1) -> np.ndarray:
     """Draw `count` samples of z = 2 ||H||_F^2, one per channel realization.
 
     By the distance identity, d^2 between codewords is ||H||_F^2 |sum dx|^2,
@@ -235,8 +221,8 @@ def sample_dmin_pdf(cfg: SimConfig, count: int, threads: int = 1) -> DminSamples
     """
     if cfg.scheme != "proposed":
         raise ConfigurationError("d^2_min sampling applies to the proposed scheme only")
-    if count < 1:
-        raise ConfigurationError(f"count must be >= 1, got {count}")
+    if not 1 <= count <= _MAX_COUNT:
+        raise ConfigurationError(f"count must lie in [1, {_MAX_COUNT}], got {count}")
     nt, nr = cfg.nt, cfg.nr
 
     def draw(first, n):
@@ -244,16 +230,11 @@ def sample_dmin_pdf(cfg: SimConfig, count: int, threads: int = 1) -> DminSamples
         g = streams.normal_from_uniform(u)
         return np.sum(g * g, axis=1)  # 2*|h|^2 summed = 2*||H||_F^2 directly
 
-    batches = [(first, min(_BATCH, count - first)) for first in range(0, count, _BATCH)]
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda b: draw(*b), batches))
-    else:
-        parts = [draw(*b) for b in batches]
-    return DminSamples(samples=np.concatenate(parts), nt=nt, nr=nr)
+    with _pool(threads) as pool:
+        return np.concatenate([z for _, group in _groups(draw, count, pool) for z in group])
 
 
-def ks_test_chisq(samples: DminSamples, dof: int):
+def ks_test_chisq(samples: np.ndarray, dof: int):
     """One-sample Kolmogorov-Smirnov test against the chi-square CDF.
 
     The reference CDF is the regularized lower incomplete gamma
@@ -263,7 +244,7 @@ def ks_test_chisq(samples: DminSamples, dof: int):
         raise ConfigurationError(f"degrees of freedom must be positive, got {dof}")
     if dof % 2 != 0:
         raise ConfigurationError(f"degrees of freedom must be even, got {dof}")
-    values = np.sort(np.asarray(samples.samples, dtype=float))
+    values = np.sort(np.asarray(samples, dtype=float))
     n = values.size
     if n < 100:
         raise ConfigurationError(f"need at least 100 samples, got {n}")

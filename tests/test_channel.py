@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fdprecode.channel import gram_polar, rayleigh
 from fdprecode.errors import ConfigurationError
-from fdprecode.simulator import DminSamples, ks_test_chisq
+from fdprecode.simulator import ks_test_chisq
 
 from draws import channels
 
@@ -47,7 +47,7 @@ def test_channel_magnitude_chisquare():
     # 2|h|^2 for CN(0,1) entries is chi-square with 2 degrees of freedom
     h = channels(31, 0, 100000, 1, 1)
     z = 2.0 * np.abs(h.ravel()) ** 2
-    stat, p = ks_test_chisq(DminSamples(samples=z, nt=1, nr=1), 2)
+    stat, p = ks_test_chisq(z, 2)
     assert p >= 0.01, (stat, p)
 
 

@@ -16,7 +16,12 @@ from fdprecode.cli import (
     read_config_file,
     resolve_options,
 )
-from fdprecode.constellation import ConstellationSets, load_constellation, save_constellation
+from fdprecode.constellation import (
+    ConstellationSets,
+    geometric_qam_family,
+    load_constellation,
+    save_constellation,
+)
 from fdprecode.errors import ConfigurationError
 
 
@@ -125,7 +130,9 @@ def test_simulate_requires_snr(tmp_path, capsys):
 
 
 def test_simulate_infeasible_codebook_is_domain_failure(tmp_path, capsys):
-    code = run(["simulate", "--preset", "16x2", "--snr", "5:6:1", "--trials", "100",
+    path = tmp_path / "big.txt"
+    save_constellation(geometric_qam_family(16, 4, 0.5), path)
+    code = run(["simulate", "--constellation-file", path, "--snr", "5:6:1", "--trials", "100",
                 "--out", tmp_path / "x.csv"])
     assert code == 1
     assert "infeasible" in capsys.readouterr().err
@@ -278,9 +285,11 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
     (OPT[:3] + ["--budget", "3", "--b-step", "1e-300"], None, "b_step"),
     (OPT[:3] + ["--budget", "3", "--phi-step", "1e-300"], None, "phi_step"),
     (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--bins", "1000000000000"], None, "bins"),
+    (["dmin-pdf", "--preset", "3x1", "--count", "1000000000000"], None, "count"),
 ], ids=["empty-snr-item", "trials-abc", "truncated-manifest", "snr-nan", "unknown-key",
         "negative-seed", "wide-seed", "old-optimize-manifest", "tol-negative", "tol-nan",
-        "budget-nan", "budget-inf", "b-step-tiny", "phi-step-tiny", "bins-huge"])
+        "budget-nan", "budget-inf", "b-step-tiny", "phi-step-tiny", "bins-huge",
+        "count-huge"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, config, key):
     written = []
     if config is not None:

@@ -86,20 +86,17 @@ def test_preset_3_4_scalings():
 def test_preset_16_tail_scalings():
     one_bit = preset(16, 1)
     assert np.allclose(sorted(np.abs(c[0]) for c in one_bit.sets)[:2], [1 / 128, 1 / 128])
-    four_bit = preset(16, 4)
-    assert np.array_equal(four_bit.sets[15], qam_points(16) / 229376)
-    two_bit = preset(16, 2)
-    assert np.array_equal(two_bit.sets[15], qam_points(4) / 32768)
 
 
 def test_preset_rejects_unknown_combo():
-    for nt, bits in [(2, 1), (3, 3), (5, 2), (16, 8)]:
+    # 16x2, 8x4 and 16x4 have more sums than the checker can enumerate
+    for nt, bits in [(2, 1), (3, 3), (5, 2), (16, 8), (16, 2), (8, 4), (16, 4)]:
         with pytest.raises(ConfigurationError):
             preset(nt, bits)
 
 
 def test_unverified_flags():
-    assert UNVERIFIED_PRESETS == {(3, 4), (4, 4), (8, 4), (16, 4)}
+    assert UNVERIFIED_PRESETS == {(3, 4), (4, 4)}
 
 
 # ------------------------------------------------------------------ energies
@@ -150,7 +147,7 @@ def test_sum_constellation_index_map_bijective():
 
 def test_sum_constellation_budget_exceeded():
     with pytest.raises(EnumerationBudgetError, match="enumeration infeasible"):
-        sum_constellation(preset(16, 2))
+        sum_constellation(geometric_qam_family(16, 4, 0.5))
 
 
 # ------------------------------------------------------------ diversity check

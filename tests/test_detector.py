@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from fdprecode.constellation import ConstellationSets, SumConstellation, preset, sum_constellation
+from fdprecode.constellation import (
+    ConstellationSets,
+    SumConstellation,
+    geometric_qam_family,
+    preset,
+    sum_constellation,
+)
 from fdprecode.detector import FastMLDecoder, codeword_matrix, ml_decode_bruteforce
 from fdprecode.errors import ConfigurationError, EnumerationBudgetError
 from fdprecode.precoder import angles_for_channel, effective_channel
@@ -92,7 +98,7 @@ def test_scale_equivariance():
 
 
 def test_bruteforce_budget_error_points_to_fast_path():
-    cs = preset(16, 2)
+    cs = geometric_qam_family(16, 4, 0.5)
     with pytest.raises(EnumerationBudgetError, match="sum-constellation"):
         ml_decode_bruteforce(np.zeros(1, dtype=complex), np.ones((1, 16), dtype=complex),
                              np.ones(16, dtype=complex), cs)

@@ -1,11 +1,13 @@
+import time
+
 import numpy as np
 import pytest
 
-from fdprecode.constellation import geometric_qam_family, preset
+from fdprecode.constellation import geometric_qam_family, preset, sum_constellation
+from fdprecode.detector import codeword_matrix
 from fdprecode.errors import ConfigurationError
 from fdprecode.simulator import (
     CerCurve,
-    DminSamples,
     SimConfig,
     estimate_diversity_slope,
     ks_test_chisq,
@@ -96,6 +98,33 @@ def test_target_errors_stops_deterministically():
     assert c1.trials[0] < 10_000_000
 
 
+def test_huge_trial_cap_stops_after_first_group():
+    # groups are built one at a time, so the cap itself costs no memory or time
+    cfg = small_config(snr_grid_db=(-10.0,), trials_per_point=10**15, target_errors=1)
+    t0 = time.monotonic()
+    curve = run_cer_sweep(cfg, threads=2)
+    assert time.monotonic() - t0 < 1.0
+    assert np.array_equal(curve.trials, [4 * 32768])
+
+
+def test_symbol_tables_match_per_antenna_loops():
+    # run_batch reads each trial's symbols from the engine's tables at the
+    # codeword's mixed-radix index; the loops it replaced are the reference
+    for nt, bits in [(3, 1), (4, 2), (3, 4)]:
+        cs = preset(nt, bits)
+        sizes = [c.size for c in cs.sets]
+        cw = np.random.default_rng([nt, bits]).integers(0, sizes, size=(1000, nt))
+        idx = np.zeros(1000, dtype=np.int64)
+        s = np.zeros(1000, dtype=complex)
+        for i in range(nt):
+            idx = idx * sizes[i] + cw[:, i]
+            s = s + cs.sets[i][cw[:, i]]
+        assert np.array_equal(np.ravel_multi_index(tuple(cw.T), sizes), idx)
+        assert np.array_equal(sum_constellation(cs).points[idx], s)
+        rows = np.stack([cs.sets[i][cw[:, i]] for i in range(nt)], axis=1)
+        assert np.array_equal(codeword_matrix(cs)[idx], rows)
+
+
 def test_rerun_identical():
     cfg = small_config(trials_per_point=30000, snr_grid_db=(12.0,))
     a = run_cer_sweep(cfg)
@@ -135,12 +164,19 @@ def test_dmin_requires_proposed_scheme():
         sample_dmin_pdf(cfg, 1000)
 
 
+def test_dmin_count_is_bounded():
+    cfg = small_config()
+    for count in (0, (1 << 24) + 1):
+        with pytest.raises(ConfigurationError, match="count"):
+            sample_dmin_pdf(cfg, count)
+
+
 def test_dmin_samples_chisquare_1x1():
     cfg = SimConfig(nt=1, nr=1, constellation=geometric_qam_family(1, 4, 0.5),
                     snr_grid_db=(0.0,), trials_per_point=1, seed=7)
     z = sample_dmin_pdf(cfg, 100000)
-    assert z.count == 100000
-    assert np.all(z.samples >= 0)
+    assert z.size == 100000
+    assert np.all(z >= 0)
     stat, p = ks_test_chisq(z, 2)
     assert p >= 0.01
 
@@ -158,26 +194,26 @@ def test_dmin_threads_identical():
     cfg = small_config(seed=42)
     a = sample_dmin_pdf(cfg, 70000, threads=1)
     b = sample_dmin_pdf(cfg, 70000, threads=8)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 # ------------------------------------------------------------------- KS test
 
 def test_ks_self_consistency():
     z = np.random.default_rng([2025, 0, 0]).chisquare(6, size=100000)
-    stat, p = ks_test_chisq(DminSamples(samples=z, nt=3, nr=1), 6)
+    stat, p = ks_test_chisq(z, 6)
     assert p >= 0.01
 
 
 def test_ks_power_against_wrong_dof():
     z = np.random.default_rng([2025, 0, 0]).chisquare(6, size=100000)
-    stat, p = ks_test_chisq(DminSamples(samples=z, nt=3, nr=1), 8)
+    stat, p = ks_test_chisq(z, 8)
     assert p < 1e-6
     assert stat > 0.05
 
 
 def test_ks_validation():
-    z = DminSamples(samples=np.ones(1000), nt=1, nr=1)
+    z = np.ones(1000)
     with pytest.raises(ConfigurationError):
         ks_test_chisq(z, 0)
     with pytest.raises(ConfigurationError):
@@ -185,7 +221,7 @@ def test_ks_validation():
     with pytest.raises(ConfigurationError):
         ks_test_chisq(z, 3)
     with pytest.raises(ConfigurationError):
-        ks_test_chisq(DminSamples(samples=np.ones(50), nt=1, nr=1), 2)
+        ks_test_chisq(np.ones(50), 2)
 
 
 # ----------------------------------------------------------------- slope fit
