@@ -39,7 +39,9 @@ def gram_polar(h_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n's terms are the columns `pair_columns(n)`. There ``rho * exp(1j * alpha)``
     equals sum_o conj(H[o, n]) * H[o, m]; rho is nonnegative, alpha is the
     principal value in (-pi, pi], and alpha is fixed to 0 wherever rho
-    vanishes. Only these pairs are computed.
+    vanishes. Only these pairs are computed. The precoder kernel does not
+    use them: they are the independent path that checks its cancellation
+    (`precoder.per_antenna_phase_residuals`).
     """
     if h_batch.ndim != 3:
         raise ConfigurationError(f"channel batch must be 3-D, got shape {h_batch.shape}")

@@ -19,11 +19,13 @@ infeasible design or codebook), 2 usage, configuration, or I/O error.
 import argparse
 import json
 import os
+import platform
 import re
 import sys
 from datetime import datetime, timezone
 
 import numpy as np
+import scipy
 from scipy.special import gammaln
 
 from . import __version__, svgplot
@@ -232,6 +234,9 @@ def write_manifest(out_path: str, command: str, config: dict, outputs: list) -> 
         # the thread count never changes an output, so a rerun picks its own
         "config": {k: _fmt(v) for k, v in config.items() if k != "threads"},
         "outputs": [str(p) for p in outputs],
+        # CSV bytes also rest on the numerics of these (complex rounding in numpy)
+        "versions": {"python": platform.python_version(), "numpy": np.__version__,
+                     "scipy": scipy.__version__},
     }
     path = str(out_path) + ".manifest.json"
     with open(path, "w", encoding="utf-8") as f:

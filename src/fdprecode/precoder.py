@@ -9,9 +9,15 @@ each n the weighted cosine sum over earlier antennas
 
 vanishes, which removes every cross term from ||H F dx||^2 and yields the
 distance identity ||H F dx||^2 = ||H||_F^2 * |sum(dx)|^2.
-"""
 
-import math
+That sum is Re(e^{-j theta_n} z_n) with z_n = sum_{m<n} G[n, m] e^{j theta_m}
+= h_n^H (sum_{m<n} a_m h_m), column n's conjugate times the partial
+effective channel built so far. `feedback_angles_batch` walks the antennas
+once with that running sum and sets a_n = -j z_n / |z_n| without any
+trigonometry; the finished sum is h_eff = H a. The polar Gram pair of
+`channel.gram_polar` is kept as the independent check of the cancellation
+(`per_antenna_phase_residuals`).
+"""
 
 import numpy as np
 
@@ -22,29 +28,29 @@ from .errors import ConfigurationError
 _DEGENERATE_EPS = 1e-300
 
 
-def feedback_angles_batch(rho: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """The nt angles (theta_1 = 0 exactly) for each row of packed cross terms.
+def feedback_angles_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feedback phasors and effective channels of a (B, nr, nt) channel batch.
 
-    rho and alpha are `gram_polar`'s (B, nt * (nt - 1) // 2) arrays.
-    theta_2 = alpha[2,1] - pi/2 solves the first zero-crossing directly; each
-    later theta_n = atan2(-A_n, B_n) zeroes A_n cos(theta_n) + B_n sin(theta_n)
-    on a fixed branch (either atan2 branch is a valid root).
+    Returns (a, h_eff): a (B, nt) holds a = exp(1j * theta) with a[:, 0] == 1
+    exactly, and h_eff (B, nr) is H a. For n >= 1, z = h_n^H s with
+    s = sum_{m<n} a_m h_m, and a_n = -1j * z / |z| zeroes Re(conj(a_n) z),
+    the root theta_n = atan2(-Re z, Im z) (theta_2 = alpha[2,1] - pi/2 for
+    n = 1); a_n is exactly 1 where |z| is below `_DEGENERATE_EPS`.
     """
-    b, pairs = rho.shape
-    nt = (1 + math.isqrt(1 + 8 * pairs)) // 2
-    if nt < 2 or nt * (nt - 1) // 2 != pairs:
-        raise ConfigurationError(
-            f"feedback angles need nt * (nt - 1) / 2 cross terms with nt >= 2, got {pairs}")
-    theta = np.zeros((b, nt))
-    theta[:, 1] = alpha[:, 0] - np.pi / 2.0
-    for n in range(2, nt):
-        cols = pair_columns(n)
-        phase = theta[:, :n] + alpha[:, cols]
-        a_n = np.sum(rho[:, cols] * np.cos(phase), axis=1)
-        b_n = np.sum(rho[:, cols] * np.sin(phase), axis=1)
-        degenerate = (np.abs(a_n) < _DEGENERATE_EPS) & (np.abs(b_n) < _DEGENERATE_EPS)
-        theta[:, n] = np.where(degenerate, 0.0, np.arctan2(-a_n, b_n))
-    return theta
+    if h.ndim != 3:
+        raise ConfigurationError(f"channel batch must be 3-D, got shape {h.shape}")
+    b, _, nt = h.shape
+    if nt < 2:
+        raise ConfigurationError(f"feedback angles need nt >= 2, got {nt}")
+    cols = np.ascontiguousarray(np.moveaxis(h, 2, 0), dtype=complex)  # (nt, B, nr)
+    a = np.ones((nt, b), dtype=complex)
+    s = cols[0].copy()
+    for n in range(1, nt):
+        z = np.einsum("bo,bo->b", cols[n].conj(), s)
+        mag = np.abs(z)
+        np.divide(-1j * z, mag, out=a[n], where=mag >= _DEGENERATE_EPS)
+        s += a[n][:, None] * cols[n]
+    return a.T, s
 
 
 def precoder_matrix(a: np.ndarray) -> np.ndarray:
@@ -56,7 +62,7 @@ def precoder_matrix(a: np.ndarray) -> np.ndarray:
 def per_antenna_phase_residuals(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """Inner cosine sum for each antenna n; entry 0 is trivially zero.
 
-    Angles produced by the recursion drive every entry to ~0 individually,
+    Angles of `feedback_angles_batch` drive every entry to ~0 individually,
     a stronger statement than the total phase condition.
     """
     h = np.asarray(h, dtype=complex)
@@ -84,6 +90,6 @@ def effective_channel(h: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def angles_for_channel(h: np.ndarray) -> np.ndarray:
-    """Convenience: feedback angles straight from a channel matrix."""
-    return feedback_angles_batch(*gram_polar(np.asarray(h, dtype=complex)[None]))[0]
+    """Convenience: feedback angles in (-pi, pi] straight from a channel matrix."""
+    return np.angle(feedback_angles_batch(np.asarray(h)[None])[0][0])
 

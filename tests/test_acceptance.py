@@ -57,11 +57,6 @@ def batch_channels(nt, nr, count, seed):
     return channels(seed, nt << 16 | nr, count, nr, nt)
 
 
-def batch_precoders(h):
-    rho, alpha = gram_polar(h)
-    return np.exp(1j * feedback_angles_batch(rho, alpha))
-
-
 def report(num, name):
     print(f"\n[acceptance] criterion {num} ({name}): PASS")
 
@@ -70,7 +65,7 @@ def test_criterion_1_distance_identity():
     t0 = time.monotonic()
     for nt, nr in CONFIGS:
         h = batch_channels(nt, nr, 1000, 101)
-        a = batch_precoders(h)
+        a, _ = feedback_angles_batch(h)
         f = np.repeat(a[:, :, None], nt, axis=2)
         x = codeword_matrix(preset(nt, 1))
         rng = np.random.default_rng([102, nt, nr])
@@ -93,7 +88,7 @@ def test_criterion_2_phase_condition_per_antenna():
         for nr in (1, 2):
             h = batch_channels(nt, nr, 10000, 201)
             rho, alpha = gram_polar(h)
-            theta = feedback_angles_batch(rho, alpha)
+            theta = np.angle(feedback_angles_batch(h)[0])
             fro = np.sum(np.abs(h) ** 2, axis=(1, 2))
             for n in range(1, nt):
                 cols = pair_columns(n)
@@ -207,7 +202,7 @@ def _stratified_cer(nt, nr, snr_db, point, seed):
         assert np.all((g > 0) & np.isfinite(g))
         z = channels(seed, point << 16 | j, n, nr, nt)
         h = np.sqrt(g / np.sum(np.abs(z) ** 2, axis=(1, 2)))[:, None, None] * z
-        h_eff = np.einsum("bon,bn->bo", h, batch_precoders(h))
+        _, h_eff = feedback_angles_batch(h)
         deviation = np.abs(np.sum(np.abs(h_eff) ** 2, axis=1) - g) / g
         assert np.all(deviation <= 1e-9), \
             f"distance identity broken in stratum {j}: relative deviation {deviation.max():.3g}"
@@ -278,7 +273,7 @@ def test_criterion_5_decoder_equivalence():
         decoder = FastMLDecoder(sum_constellation(cs))
         n = 10000
         h = batch_channels(nt, 1, n, 500 + nt)
-        a = batch_precoders(h)
+        a, _ = feedback_angles_batch(h)
         f = np.repeat(a[:, :, None], nt, axis=2)
         rng = np.random.default_rng([501, nt, bits])
         k_true = rng.integers(0, x.shape[0], size=n)

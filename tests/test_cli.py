@@ -83,6 +83,8 @@ def test_simulate_csv_schema(tmp_path, capsys):
     assert manifest["command"] == "simulate"
     assert manifest["config"]["preset"] == "3x1"
     assert manifest["outputs"] == [str(out)]
+    assert set(manifest["versions"]) == {"python", "numpy", "scipy"}
+    assert manifest["versions"]["numpy"] == np.__version__
 
 
 def test_simulate_manifest_reruns_byte_identical(tmp_path):

@@ -31,19 +31,65 @@ def test_angles_hand_case_real():
 
 def test_angles_hand_case_quadrature():
     h = np.array([[1.0, 1.0j]])
-    rho, alpha = gram_polar(h[None])
-    theta = feedback_angles_batch(rho, alpha)[0]
-    # alpha_21 = -pi/2, so theta_2 = -pi; the zero-crossing holds exactly
-    assert theta[1] == pytest.approx(-np.pi, abs=1e-15)
+    a, _ = feedback_angles_batch(h[None])
+    theta = np.angle(a[0])
+    # alpha_21 = -pi/2, so theta_2 = -pi (mod 2 pi); the zero-crossing holds exactly
+    assert a[0, 1] == pytest.approx(-1.0, abs=1e-15)
+    _, alpha = gram_polar(h[None])
     assert np.cos(theta[0] - theta[1] + alpha[0, 0]) == pytest.approx(0.0, abs=1e-15)
 
 
-@pytest.mark.parametrize("nt, nr", [(3, 2), (8, 1)])
+@pytest.mark.parametrize("nt, nr", [(3, 2), (8, 1), (4, 4)])
 def test_single_channel_angles_equal_batch_rows(nt, nr):
     h = channels(17, nt << 16 | nr, 256, nr, nt)
-    batch = feedback_angles_batch(*gram_polar(h))
+    a, h_eff = feedback_angles_batch(h)
     for b in range(h.shape[0]):
-        assert np.array_equal(angles_for_channel(h[b]), batch[b])
+        row_a, row_h_eff = feedback_angles_batch(h[b:b + 1])
+        assert np.array_equal(row_a[0], a[b])
+        assert np.array_equal(row_h_eff[0], h_eff[b])
+        assert np.array_equal(angles_for_channel(h[b]), np.angle(a[b]))
+
+
+KERNEL_CONFIGS = [(2, 1), (3, 2), (4, 4), (8, 1), (8, 2), (16, 1)]
+
+
+@pytest.mark.parametrize("nt, nr", KERNEL_CONFIGS)
+def test_kernel_unit_phasors_first_exactly_one(nt, nr):
+    a, _ = feedback_angles_batch(channels(31, nt << 16 | nr, 4096, nr, nt))
+    assert a.shape == (4096, nt)
+    assert np.all(a[:, 0] == 1.0)
+    assert np.max(np.abs(np.abs(a) - 1.0)) <= 1e-15
+
+
+@pytest.mark.parametrize("nt, nr", KERNEL_CONFIGS)
+def test_kernel_h_eff_is_h_times_a(nt, nr):
+    h = channels(37, nt << 16 | nr, 4096, nr, nt)
+    a, h_eff = feedback_angles_batch(h)
+    assert h_eff.shape == (4096, nr)
+    fro = np.sqrt(np.sum(np.abs(h) ** 2, axis=(1, 2)))
+    for b in range(h.shape[0]):
+        assert np.max(np.abs(h_eff[b] - effective_channel(h[b], a[b]))) <= 1e-12 * fro[b]
+
+
+def test_kernel_degenerate_columns_give_unit_phasor():
+    # orthogonal columns, a zero column, and an all-zero channel: z = 0 exactly
+    h = np.zeros((3, 2, 3), dtype=complex)
+    h[0] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    h[1] = [[1.0, 0.0, 1.0], [1.0, 0.0, 0.0]]
+    a, h_eff = feedback_angles_batch(h)
+    assert np.all(np.isfinite(a)) and np.all(np.isfinite(h_eff))
+    assert a[0, 1] == 1.0 and a[0, 2] == 1.0
+    assert a[1, 1] == 1.0
+    assert np.all(a[2] == 1.0) and np.all(h_eff[2] == 0.0)
+    # antenna 3 of channel 1 still cancels against the partial sum (1, 1)
+    assert a[1, 2] == -1.0j
+
+
+def test_kernel_rejects_bad_shapes():
+    with pytest.raises(ConfigurationError):
+        feedback_angles_batch(np.ones((2, 3), dtype=complex))
+    with pytest.raises(ConfigurationError):
+        feedback_angles_batch(np.ones((2, 3, 1), dtype=complex))
 
 
 def test_angles_require_two_antennas():

@@ -2,6 +2,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from fdprecode.constellation import geometric_qam_family, preset, sum_constellation
 from fdprecode.detector import codeword_matrix
@@ -210,6 +211,18 @@ def test_ks_power_against_wrong_dof():
     stat, p = ks_test_chisq(z, 8)
     assert p < 1e-6
     assert stat > 0.05
+
+
+def test_ks_chunked_statistic_is_bit_identical():
+    # more than one chunk and not a multiple of it, against the whole-array formula
+    n = (1 << 20) + 12345
+    z = np.random.default_rng([2025, 1, 0]).chisquare(6, size=n)
+    values = np.sort(z)
+    ref = gammainc(3.0, values / 2.0)
+    i = np.arange(1, n + 1)
+    whole = float(max(np.max(i / n - ref), np.max(ref - (i - 1) / n)))
+    stat, _ = ks_test_chisq(z, 6)
+    assert stat == whole
 
 
 def test_ks_validation():
