@@ -19,7 +19,6 @@ from .constellation import (
     DiversityReport,
     GridSpec,
     OptimizationResult,
-    SumConstellation,
     average_energy,
     check_full_diversity,
     geometric_qam_family,
@@ -54,7 +53,7 @@ from .simulator import (
 __all__ = [
     "gram_polar",
     "ConstellationSets", "DiversityReport", "GridSpec", "OptimizationResult",
-    "SumConstellation", "average_energy", "check_full_diversity",
+    "average_energy", "check_full_diversity",
     "geometric_qam_family", "load_constellation", "min_sum_distance",
     "optimize_rotations_scalings", "preset", "qam_points", "save_constellation",
     "sum_constellation", "FastMLDecoder", "ml_decode_bruteforce",

@@ -250,7 +250,7 @@ def cmd_simulate(args) -> int:
     sets, _ = _load_sets(options, "simulate")
     if "snr" not in options:
         raise ConfigurationError("no SNR grid given: use --snr A:B:STEP or a config entry")
-    cfg = SimConfig(nt=sets.nt, nr=options["nr"], constellation=sets,
+    cfg = SimConfig(nr=options["nr"], constellation=sets,
                     snr_grid_db=options["snr"], trials_per_point=options["trials"],
                     seed=options["seed"], scheme=options["scheme"],
                     target_errors=options.get("target_errors"), noiseless=options["noiseless"])
@@ -264,11 +264,14 @@ def cmd_simulate(args) -> int:
                     f"{int(curve.errors[k])},{_fmt(float(curve.cer[k]))},"
                     f"{_fmt(float(curve.ci_lo[k]))},{_fmt(float(curve.ci_hi[k]))}\n")
     outputs = [out]
-    if args.plot:
+    if args.plot and not curve.errors.any():
+        print("note: no SNR point has an error, so there is no CER to plot", file=sys.stderr)
+    elif args.plot:
         svg_path = os.path.splitext(out)[0] + ".svg"
         title = f"{cfg.nt}x{cfg.nr} CER, {cfg.bits_per_symbol} bits/symbol, {cfg.scheme}"
+        svg = svgplot.cer_plot(curve.snr_db, curve.cer, cfg.nt * cfg.nr, title)
         with open(svg_path, "w", encoding="utf-8") as f:
-            f.write(svgplot.cer_plot(curve.snr_db, curve.cer, cfg.nt * cfg.nr, title))
+            f.write(svg)
         outputs.append(svg_path)
     manifest = write_manifest(out, "simulate", options, outputs)
     print(f"wrote {', '.join(outputs)} (manifest: {manifest})")
@@ -282,7 +285,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_check_constellation(args) -> int:
     options = resolve_options(args)
-    if "preset" not in options and "constellation_file" not in options and args.target:
+    if args.target:
+        if "preset" in options or "constellation_file" in options:
+            raise ConfigurationError(f"target {args.target!r} names a constellation, so give "
+                                     "no preset or constellation_file as well")
         key = "preset" if _PRESET_RE.match(args.target) else "constellation_file"
         options[key] = args.target
     sets, source = _load_sets(options)
@@ -332,9 +338,7 @@ def cmd_dmin_pdf(args) -> int:
     if not 1 <= options["bins"] <= _MAX_BINS:
         raise ConfigurationError(f"bins must lie in [1, {_MAX_BINS}], got {options['bins']}")
     nt, nr = sets.nt, options["nr"]
-    cfg = SimConfig(nt=nt, nr=nr, constellation=sets, snr_grid_db=(0.0,),
-                    trials_per_point=1, seed=options["seed"])
-    samples = sample_dmin_pdf(cfg, options["count"], threads=_threads(options))
+    samples = sample_dmin_pdf(nt, nr, options["seed"], options["count"], threads=_threads(options))
     dof = 2 * nt * nr
     stat, p_value = ks_test_chisq(samples, dof)
 

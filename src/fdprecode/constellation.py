@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesignError
 
-DEFAULT_ENUM_BUDGET = 1 << 20
+ENUM_BUDGET = 1 << 20
 DEFAULT_DISTINCT_TOL = 1e-12
 _MAX_GRID_POINTS = 1 << 16
 
@@ -59,10 +59,9 @@ class ConstellationSets:
                     f"set {i + 1} must hold {size} points for {self.bits_per_symbol} bits/symbol, got {c.size}")
             if not np.all(np.isfinite(c)):
                 raise ConfigurationError(f"set {i + 1} contains non-finite points")
-            if c.size > 1:
-                d, _, _ = _min_pairwise(c)
-                if d <= DEFAULT_DISTINCT_TOL:
-                    raise ConfigurationError(f"set {i + 1} has coincident points (spacing {d:g})")
+            d, _, _ = _min_pairwise(c)
+            if d <= DEFAULT_DISTINCT_TOL:
+                raise ConfigurationError(f"set {i + 1} has coincident points (spacing {d:g})")
             c.setflags(write=False)
             frozen.append(c)
         object.__setattr__(self, "sets", tuple(frozen))
@@ -73,23 +72,7 @@ class ConstellationSets:
 
     @property
     def codebook_size(self) -> int:
-        size = 1
-        for c in self.sets:
-            size *= c.size
-        return size
-
-
-@dataclass(frozen=True)
-class SumConstellation:
-    """All codeword sums in lexicographic order, antenna 1 most significant."""
-
-    points: np.ndarray
-    index_map: np.ndarray  # (N, nt) per-antenna point indices
-    set_sizes: tuple
-
-    @property
-    def size(self) -> int:
-        return self.points.size
+        return 1 << (self.nt * self.bits_per_symbol)
 
 
 @dataclass(frozen=True)
@@ -162,7 +145,7 @@ def preset(nt: int, bits: int) -> ConstellationSets:
     4-QAM family with ratio 1/2; 4 bits/symbol scales 16-QAM by 1, 1/14, 1/28
     (and 1/56 for nt = 4). See the module notes on the unverified 4-bit entries.
     """
-    if nt not in (3, 4, 8, 16) or bits not in (1, 2, 4) or 1 << (nt * bits) > DEFAULT_ENUM_BUDGET:
+    if nt not in (3, 4, 8, 16) or bits not in (1, 2, 4) or 1 << (nt * bits) > ENUM_BUDGET:
         raise ConfigurationError(f"no preset for nt={nt}, bits={bits}")
     if bits == 1:
         if nt == 3:
@@ -192,27 +175,22 @@ def geometric_qam_family(nt: int, m: int, ratio: float) -> ConstellationSets:
     return ConstellationSets(tuple(ratio ** i * q for i in range(nt)), bits)
 
 
-def sum_constellation(cs: ConstellationSets, budget: int = DEFAULT_ENUM_BUDGET) -> SumConstellation:
-    """Enumerate every codeword sum, left-to-right over antennas.
+def sum_constellation(cs: ConstellationSets) -> np.ndarray:
+    """Every codeword sum as an (N,) array, in lexicographic codeword order
+    with antenna 1 most significant, enumerated left-to-right over antennas.
 
-    Raises EnumerationBudgetError when the codebook exceeds `budget`; the
+    Raises EnumerationBudgetError when the codebook exceeds ENUM_BUDGET; the
     full-diversity verdicts in this package are only ever exhaustive, so an
     oversized codebook is an explicit error rather than a silent sample.
     """
     n = cs.codebook_size
-    if n > budget:
+    if n > ENUM_BUDGET:
         raise EnumerationBudgetError(
-            f"enumeration infeasible: codebook holds {n} sums, budget is {budget}")
-    points = np.zeros(1, dtype=complex)
+            f"enumeration infeasible: codebook holds {n} sums, budget is {ENUM_BUDGET}")
+    sums = np.zeros(1, dtype=complex)
     for c in cs.sets:
-        points = (points[:, None] + c[None, :]).ravel()
-    sizes = tuple(int(c.size) for c in cs.sets)
-    index_map = np.empty((n, cs.nt), dtype=np.int64)
-    stride = n
-    for i, s in enumerate(sizes):
-        stride //= s
-        index_map[:, i] = (np.arange(n) // stride) % s
-    return SumConstellation(points=points, index_map=index_map, set_sizes=sizes)
+        sums = (sums[:, None] + c[None, :]).ravel()
+    return sums
 
 
 def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
@@ -244,13 +222,7 @@ def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
     return best, bi, bj
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 <= tol < np.inf:
-        raise ConfigurationError(f"tol must lie in [0, inf), got {tol}")
-
-
-def check_full_diversity(cs: ConstellationSets, tol: float = DEFAULT_DISTINCT_TOL,
-                         budget: int = DEFAULT_ENUM_BUDGET) -> DiversityReport:
+def check_full_diversity(cs: ConstellationSets, tol: float = DEFAULT_DISTINCT_TOL) -> DiversityReport:
     """Exhaustive sum-injectivity check: passes iff all codeword sums are
     pairwise farther apart than `tol`.
 
@@ -258,22 +230,21 @@ def check_full_diversity(cs: ConstellationSets, tol: float = DEFAULT_DISTINCT_TO
     |sum_i dx_i| (0 when two codewords collide); the witness is a pair of
     per-antenna index tuples attaining it.
     """
-    _check_tol(tol)
-    sc = sum_constellation(cs, budget=budget)
-    d, i, j = _min_pairwise(sc.points)
-    n = sc.size
+    if not 0 <= tol < np.inf:
+        raise ConfigurationError(f"tol must lie in [0, inf), got {tol}")
+    d, i, j = _min_pairwise(sum_constellation(cs))
+    n = cs.codebook_size
     witness = None
     if i >= 0:
-        witness = (tuple(int(v) for v in sc.index_map[i]),
-                   tuple(int(v) for v in sc.index_map[j]))
+        digits = np.unravel_index([i, j], (1 << cs.bits_per_symbol,) * cs.nt)
+        witness = tuple(tuple(int(v) for v in w) for w in zip(*digits))
     return DiversityReport(passes=bool(d > tol), min_sum_distance=float(d),
                            witness=witness, pairs_checked=n * (n - 1) // 2)
 
 
-def min_sum_distance(cs: ConstellationSets, budget: int = DEFAULT_ENUM_BUDGET) -> float:
+def min_sum_distance(cs: ConstellationSets) -> float:
     """Minimum |sum_i dx_i| over distinct codeword pairs (the coding-gain metric)."""
-    sc = sum_constellation(cs, budget=budget)
-    d, _, _ = _min_pairwise(sc.points)
+    d, _, _ = _min_pairwise(sum_constellation(cs))
     return float(d)
 
 
@@ -286,9 +257,8 @@ def average_energy(cs: ConstellationSets) -> float:
     return float(sum(float(np.mean(np.abs(c) ** 2)) for c in cs.sets))
 
 
-def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec, power_budget: float,
-                                tol: float = DEFAULT_DISTINCT_TOL,
-                                budget: int = DEFAULT_ENUM_BUDGET) -> OptimizationResult:
+def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
+                                power_budget: float) -> OptimizationResult:
     """Refine a base design by scaling/rotating each set, one set at a time.
 
     Set 1 is pinned at (b, phi) = (1, 0); a global rotation or scale changes
@@ -308,7 +278,6 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec, power_b
     """
     if not 0 < power_budget < np.inf:
         raise ConfigurationError(f"power budget must be positive and finite, got {power_budget}")
-    _check_tol(tol)
     energies = [float(np.mean(np.abs(c) ** 2)) for c in base.sets]
     b_values = grid.scale_values()
     phi_values = grid.rotation_values()
@@ -322,7 +291,7 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec, power_b
             f"no full-diversity point found: set 1 alone needs energy {spent:g} > budget {power_budget:g}")
 
     for i in range(1, base.nt):
-        if prefix.size * base.sets[i].size > budget:
+        if prefix.size * base.sets[i].size > ENUM_BUDGET:
             raise EnumerationBudgetError(
                 f"enumeration infeasible: stage {i + 1} would hold {prefix.size * base.sets[i].size} sums")
         best_val = None
@@ -334,7 +303,7 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec, power_b
                 w = b * np.exp(1j * phi)
                 pts = (prefix[:, None] + w * base.sets[i][None, :]).ravel()
                 d, _, _ = _min_pairwise(pts)
-                if d <= tol:
+                if d <= DEFAULT_DISTINCT_TOL:
                     continue
                 if best_val is None or d > best_val * (1 + _TIE_REL):
                     best_val, best = d, (float(b), float(phi), pts)
@@ -347,7 +316,7 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec, power_b
     final = tuple(scales[i] * np.exp(1j * rotations[i]) * base.sets[i] for i in range(base.nt))
     result_sets = ConstellationSets(final, base.bits_per_symbol)
     return OptimizationResult(sets=result_sets, scales=scales, rotations=rotations,
-                              min_sum_distance=min_sum_distance(result_sets, budget=budget))
+                              min_sum_distance=min_sum_distance(result_sets))
 
 
 def save_constellation(cs: ConstellationSets, path) -> None:

@@ -20,27 +20,21 @@ argmin |s_mf - sums|, ties included.
 
 import numpy as np
 
-from .constellation import ConstellationSets, SumConstellation, _min_pairwise
+from .constellation import DEFAULT_DISTINCT_TOL, ConstellationSets, _min_pairwise
 from .errors import ConfigurationError, EnumerationBudgetError
 from .precoder import precoder_matrix
 
 BRUTEFORCE_BUDGET = 1 << 16
 
 
-def codeword_matrix(cs: ConstellationSets, budget: int = BRUTEFORCE_BUDGET) -> np.ndarray:
+def codeword_matrix(cs: ConstellationSets) -> np.ndarray:
     """All codewords as an (N, nt) array in lexicographic index order."""
     n = cs.codebook_size
-    if n > budget:
+    if n > BRUTEFORCE_BUDGET:
         raise EnumerationBudgetError(
-            f"enumeration infeasible: {n} codewords exceed the budget {budget}; "
+            f"enumeration infeasible: {n} codewords exceed the budget {BRUTEFORCE_BUDGET}; "
             "use the sum-constellation decoder")
-    cols = []
-    before, after = 1, n
-    for c in cs.sets:
-        after //= c.size
-        cols.append(np.tile(np.repeat(c, after), before))
-        before *= c.size
-    return np.stack(cols, axis=1)
+    return np.stack(np.meshgrid(*cs.sets, indexing="ij"), -1).reshape(n, cs.nt)
 
 
 def exhaustive_decode_batch(y: np.ndarray, transfer: np.ndarray,
@@ -61,38 +55,38 @@ def exhaustive_decode_batch(y: np.ndarray, transfer: np.ndarray,
 
 
 def ml_decode_bruteforce(y: np.ndarray, h: np.ndarray, a: np.ndarray,
-                         cs: ConstellationSets, budget: int = BRUTEFORCE_BUDGET) -> int:
+                         cs: ConstellationSets) -> int:
     """Exhaustive ML decode of y = H F x + n; returns the codeword index."""
     hf = np.asarray(h, dtype=complex) @ precoder_matrix(a)
     y = np.asarray(y, dtype=complex)
-    return int(exhaustive_decode_batch(y[None], hf[None], codeword_matrix(cs, budget=budget))[0])
+    return int(exhaustive_decode_batch(y[None], hf[None], codeword_matrix(cs))[0])
 
 
 class FastMLDecoder:
-    """Sum-constellation ML decoder with the table and its bucket grid built once.
+    """ML decoder over the (N,) codeword sums from `sum_constellation`, with
+    its bucket grid built once.
 
-    Refuses a non-injective sum constellation at construction: with colliding
-    sums the decision would be ambiguous. The grid's cell side is half the
-    minimum spacing d that this check computes, so a cell holds at most one
-    sum; it is padded by `_RADIUS + 1` cells on every side, and empty cells
-    hold the sentinel index N, whose point lies at infinity. No grid is built
-    for tables of at most (2 * _RADIUS + 1)^2 sums, or when the grid would
-    need more than `_MAX_CELLS_PER_SUM` cells per sum; every query then takes
-    the exhaustive argmin.
+    Refuses colliding sums at construction: the decision would be ambiguous.
+    The grid's cell side is half the minimum spacing d that this check
+    computes, so a cell holds at most one sum; it is padded by `_RADIUS + 1`
+    cells on every side, and empty cells hold the sentinel index N, whose
+    point lies at infinity. No grid is built for tables of at most
+    (2 * _RADIUS + 1)^2 sums, or when the grid would need more than
+    `_MAX_CELLS_PER_SUM` cells per sum; every query then takes the
+    exhaustive argmin.
     """
 
     _RADIUS = 2               # block of (2r+1)^2 cells searched around the query's cell
     _MAX_CELLS_PER_SUM = 16   # grid size cap, in cells per sum
     _GATHER_ROWS = 4096       # queries per candidate gather, bounding its temporaries
 
-    def __init__(self, sc: SumConstellation, tol: float = 1e-12):
-        d, _, _ = _min_pairwise(sc.points)
-        if not d > tol:
+    def __init__(self, sums: np.ndarray):
+        d, _, _ = _min_pairwise(sums)
+        if not d > DEFAULT_DISTINCT_TOL:
             raise ConfigurationError(
                 f"sum constellation is not injective (minimum spacing {d:g}); "
                 "decisions would be ambiguous")
-        self.sums = sc.points
-        self.index_map = sc.index_map
+        self.sums = sums
         self._grid = None
         r = self._RADIUS
         n = self.sums.size

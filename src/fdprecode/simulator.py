@@ -42,11 +42,19 @@ _MAX_COUNT = 1 << 24    # d^2_min samples held at once for the sort and KS test 
 _KS_CHUNK = 1 << 20     # sorted samples per KS step, bounding its temporaries to a few MB
 
 
+def _check_run(nt: int, nr: int, seed: int) -> None:
+    """Check the antenna counts and the seed that CER sweeps and d^2_min sampling share."""
+    if nt < 1 or nr < 1:
+        raise ConfigurationError(f"antenna counts must be >= 1, got nt={nt}, nr={nr}")
+    # streams keys Philox with seed & (2**128 - 1): a wider seed would alias another
+    if not 0 <= seed < 1 << 128:
+        raise ConfigurationError(f"seed must be in [0, 2**128), got {seed}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Fully resolved simulation parameters; immutable and hashable by identity."""
 
-    nt: int
     nr: int
     constellation: ConstellationSets
     snr_grid_db: tuple
@@ -57,11 +65,7 @@ class SimConfig:
     noiseless: bool = False
 
     def __post_init__(self):
-        if self.nt < 1 or self.nr < 1:
-            raise ConfigurationError(f"antenna counts must be >= 1, got nt={self.nt}, nr={self.nr}")
-        if self.constellation.nt != self.nt:
-            raise ConfigurationError(
-                f"constellation has {self.constellation.nt} sets but nt={self.nt}")
+        _check_run(self.nt, self.nr, self.seed)
         grid = tuple(float(s) for s in self.snr_grid_db)
         if len(grid) == 0:
             raise ConfigurationError("snr_grid_db must not be empty")
@@ -76,9 +80,10 @@ class SimConfig:
             raise ConfigurationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.target_errors is not None and self.target_errors < 1:
             raise ConfigurationError(f"target_errors must be >= 1, got {self.target_errors}")
-        # streams keys Philox with seed & (2**128 - 1): a wider seed would alias another
-        if not 0 <= self.seed < 1 << 128:
-            raise ConfigurationError(f"seed must be in [0, 2**128), got {self.seed}")
+
+    @property
+    def nt(self) -> int:
+        return self.constellation.nt
 
     @property
     def bits_per_symbol(self) -> int:
@@ -97,8 +102,9 @@ class CerCurve:
     ci_hi: np.ndarray
 
 
-def wilson_interval(errors, trials, z: float = _WILSON_Z):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(errors, trials):
+    """Wilson 95% score interval for a binomial proportion."""
+    z = _WILSON_Z
     errors = np.asarray(errors, dtype=float)
     trials = np.asarray(trials, dtype=float)
     p = errors / trials
@@ -110,10 +116,6 @@ def wilson_interval(errors, trials, z: float = _WILSON_Z):
     return lo, hi
 
 
-def _per_antenna_indices(u: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    return np.minimum((u * sizes).astype(np.int64), sizes - 1)
-
-
 class _Engine:
     """Precomputed tables plus the per-batch trial pipeline for one config;
     `symbols[k]` is what codeword k sends: its sum, or its row (baseline)."""
@@ -121,15 +123,14 @@ class _Engine:
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         cs = cfg.constellation
-        self.sizes = np.array([c.size for c in cs.sets], dtype=np.int64)
+        self.m = 1 << cs.bits_per_symbol  # points per antenna set
         self.es = average_energy(cs)
         nt, nr = cfg.nt, cfg.nr
         self.n_h = 2 * nr * nt
         self.words_per_trial = self.n_h + nt + 2 * nr
         if cfg.scheme == "proposed":
-            sums = sum_constellation(cs)
-            self.decoder = FastMLDecoder(sums)
-            self.symbols = sums.points
+            self.symbols = sum_constellation(cs)
+            self.decoder = FastMLDecoder(self.symbols)
         else:
             self.symbols = codeword_matrix(cs)
             self.decoder = None
@@ -145,13 +146,13 @@ class _Engine:
         u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_CER, point_idx, first, count,
                                    self.words_per_trial)
         h = rayleigh(streams.normal_from_uniform(u[:, :self.n_h]), nr, nt)
-        cw = _per_antenna_indices(u[:, self.n_h:self.n_h + nt], self.sizes)
+        cw = np.minimum((u[:, self.n_h:self.n_h + nt] * self.m).astype(np.int64), self.m - 1)
         if cfg.noiseless:
             noise = 0.0
         else:
             gn = streams.normal_from_uniform(u[:, self.n_h + nt:])
             noise = (gn[:, :nr] + 1j * gn[:, nr:]) * np.sqrt(sigma2 / 2.0)
-        true_idx = np.ravel_multi_index(tuple(cw.T), self.sizes)
+        true_idx = np.ravel_multi_index(tuple(cw.T), (self.m,) * nt)
         x = self.symbols[true_idx]
 
         if cfg.scheme == "proposed":
@@ -212,21 +213,19 @@ def run_cer_sweep(cfg: SimConfig, threads: int = 1) -> CerCurve:
                     cer=cer, ci_lo=lo, ci_hi=hi)
 
 
-def sample_dmin_pdf(cfg: SimConfig, count: int, threads: int = 1) -> np.ndarray:
-    """Draw `count` samples of z = 2 ||H||_F^2, one per channel realization.
+def sample_dmin_pdf(nt: int, nr: int, seed: int, count: int, threads: int = 1) -> np.ndarray:
+    """Draw `count` samples of z = 2 ||H||_F^2, one per nr x nt channel realization.
 
     By the distance identity, d^2 between codewords is ||H||_F^2 |sum dx|^2,
     so z equals 2 d^2_min / min_sum_distance^2; the factor 2 makes z exactly
     chi-square with 2 * nt * nr degrees of freedom under CN(0, 1) entries.
     """
-    if cfg.scheme != "proposed":
-        raise ConfigurationError("d^2_min sampling applies to the proposed scheme only")
+    _check_run(nt, nr, seed)
     if not 1 <= count <= _MAX_COUNT:
         raise ConfigurationError(f"count must lie in [1, {_MAX_COUNT}], got {count}")
-    nt, nr = cfg.nt, cfg.nr
 
     def draw(first, n):
-        u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_DMIN, 0, first, n, 2 * nr * nt)
+        u = streams.trial_uniforms(seed, streams.PURPOSE_DMIN, 0, first, n, 2 * nr * nt)
         g = streams.normal_from_uniform(u)
         return np.sum(g * g, axis=1)  # 2*|h|^2 summed = 2*||H||_F^2 directly
 

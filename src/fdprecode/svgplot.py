@@ -67,12 +67,11 @@ def _polyline(frame, xs, ys, color, dash=None):
     return f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.6"{dash_attr}/>'
 
 
-def cer_plot(snr_db, cer, diversity_order, title, guide_anchor=None) -> str:
+def cer_plot(snr_db, cer, diversity_order, title) -> str:
     """Log-log CER plot with a dashed slope guide at -diversity_order.
 
     Points with zero errors are dropped (log of 0). The guide line decays one
-    decade per 10/diversity_order dB through the anchor (default: the last
-    plotted point).
+    decade per 10/diversity_order dB through the last plotted point.
     """
     snr_db = np.asarray(snr_db, dtype=float)
     cer = np.asarray(cer, dtype=float)
@@ -93,7 +92,7 @@ def cer_plot(snr_db, cer, diversity_order, title, guide_anchor=None) -> str:
     for x, y in zip(snr_db, logc):
         parts.append(f'<circle cx="{frame.x(x):.2f}" cy="{frame.y(y):.2f}" r="3" fill="{_COLORS[0]}"/>')
     if diversity_order > 0:
-        ax, ay = guide_anchor if guide_anchor else (snr_db[-1], logc[-1])
+        ax, ay = snr_db[-1], logc[-1]
         gx = np.array([frame.x_lo, frame.x_hi])
         gy = ay - diversity_order * (gx - ax) / 10.0
         parts.append(_polyline(frame, gx, gy, _COLORS[1], dash="6,4"))

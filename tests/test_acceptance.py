@@ -105,9 +105,7 @@ def test_criterion_3_chisquare_match():
     t0 = time.monotonic()
     stats = []
     for nt, nr in CONFIGS:
-        cfg = SimConfig(nt=nt, nr=nr, constellation=preset(nt, 1), snr_grid_db=(0.0,),
-                        trials_per_point=1, seed=7)
-        z = sample_dmin_pdf(cfg, 100000, threads=THREADS)
+        z = sample_dmin_pdf(nt, nr, 7, 100000, threads=THREADS)
         stat, p = ks_test_chisq(z, 2 * nt * nr)
         stats.append((nt, nr, stat, p))
         assert p >= 0.01, (nt, nr, stat, p)
@@ -118,7 +116,7 @@ def test_criterion_3_chisquare_match():
 
 
 def _slope(nt, nr, snrs, target, cap, seed):
-    cfg = SimConfig(nt=nt, nr=nr, constellation=preset(nt, 1), snr_grid_db=snrs,
+    cfg = SimConfig(nr=nr, constellation=preset(nt, 1), snr_grid_db=snrs,
                     trials_per_point=cap, seed=seed, target_errors=target)
     curve = run_cer_sweep(cfg, threads=THREADS)
     window = (1e-4, 1e-2)
@@ -229,7 +227,7 @@ def _asymptotic_slope(nt, nr, check_snr, snrs, window, seed):
     """Diversity slope over `snrs` from stratified estimates, after checking
     the estimator against plain Monte Carlo at `check_snr`."""
     cer, var, _, _ = _stratified_cer(nt, nr, check_snr, 0, seed)
-    cfg = SimConfig(nt=nt, nr=nr, constellation=preset(nt, 1), snr_grid_db=(check_snr,),
+    cfg = SimConfig(nr=nr, constellation=preset(nt, 1), snr_grid_db=(check_snr,),
                     trials_per_point=4_000_000, seed=seed, target_errors=1000)
     mc = run_cer_sweep(cfg, threads=THREADS)
     half = Z95 * np.sqrt(var)
@@ -313,7 +311,7 @@ def test_criterion_6_table_presets():
         cs = preset(nt, bits)
         rep = check_full_diversity(cs, 1e-12)
         assert rep.passes, (nt, bits)
-        oracle = exact_min_distance(sum_constellation(cs).points)
+        oracle = exact_min_distance(sum_constellation(cs))
         module = min_sum_distance(cs)
         assert module == oracle, (nt, bits, module, oracle)
         if (nt, bits) in anchors:

@@ -119,6 +119,18 @@ def test_simulate_plot_writes_svg_without_touching_csv(tmp_path):
     assert root.tag.endswith("svg")
 
 
+def test_simulate_plot_without_errors_skips_svg(tmp_path, capsys):
+    # no SNR point has an error, so there is no CER to draw on a log axis
+    out = tmp_path / "c.csv"
+    assert run(["simulate", "--preset", "3x1", "--snr", "80", "--trials", "1000",
+                "--threads", "1", "--plot", "--out", out]) == 0
+    assert out.read_text().splitlines()[1].split(",")[2] == "0"
+    manifest = json.loads((tmp_path / "c.csv.manifest.json").read_text())
+    assert manifest["outputs"] == [str(out)]
+    assert not (tmp_path / "c.svg").exists()
+    assert capsys.readouterr().err.startswith("note: ")
+
+
 def test_simulate_missing_constellation_file_names_path(tmp_path, capsys):
     code = run(["simulate", "--constellation-file", tmp_path / "nope.txt",
                 "--snr", "5:6:1", "--out", tmp_path / "x.csv"])
@@ -288,10 +300,17 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
     (OPT[:3] + ["--budget", "3", "--phi-step", "1e-300"], None, "phi_step"),
     (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--bins", "1000000000000"], None, "bins"),
     (["dmin-pdf", "--preset", "3x1", "--count", "1000000000000"], None, "count"),
+    (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--seed", "-1"], None, "seed"),
+    (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--seed", str(1 << 128)], None, "seed"),
+    (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--nr", "0"], None, "nr"),
+    (["check-constellation", "3x1", "--preset", "4x1"], None, "preset"),
+    (["check-constellation", "nofile.txt", "--preset", "3x2"], None, "preset"),
+    (["check-constellation", "3x1"], "constellation_file = nofile.txt\n", "preset"),
 ], ids=["empty-snr-item", "trials-abc", "truncated-manifest", "snr-nan", "unknown-key",
         "negative-seed", "wide-seed", "old-optimize-manifest", "tol-negative", "tol-nan",
         "budget-nan", "budget-inf", "b-step-tiny", "phi-step-tiny", "bins-huge",
-        "count-huge"])
+        "count-huge", "dmin-negative-seed", "dmin-wide-seed", "dmin-nr-zero",
+        "check-target-and-preset", "check-file-target-and-preset", "check-target-and-config-file"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, config, key):
     written = []
     if config is not None:

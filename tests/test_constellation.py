@@ -119,7 +119,7 @@ def test_average_energy_matches_monte_carlo():
 
 def test_sum_constellation_single_set():
     sc = sum_constellation(ConstellationSets((np.array([-1.0, 1.0]),), 1))
-    assert np.array_equal(sc.points, [-1.0, 1.0])
+    assert np.array_equal(sc, [-1.0, 1.0])
 
 
 def test_sum_constellation_matches_direct_enumeration():
@@ -128,21 +128,20 @@ def test_sum_constellation_matches_direct_enumeration():
     assert sc.size == 8
     direct = np.array([cs.sets[0][a] + cs.sets[1][b] + cs.sets[2][c]
                        for a in range(2) for b in range(2) for c in range(2)])
-    assert np.array_equal(sc.points, direct)
+    assert np.array_equal(sc, direct)
     # real/imaginary parts follow the +-1 +- 0.4773 pattern
     mag = 0.675 * np.cos(np.pi / 4)
-    assert np.allclose(np.unique(np.round(np.abs(sc.points.real), 6)),
+    assert np.allclose(np.unique(np.round(np.abs(sc.real), 6)),
                        np.round([1 - mag, 1 + mag], 6))
 
 
-def test_sum_constellation_index_map_bijective():
-    sc = sum_constellation(preset(3, 2))
-    assert sc.index_map.shape == (64, 3)
-    as_tuples = {tuple(row) for row in sc.index_map}
-    assert len(as_tuples) == 64
-    recomputed = np.array([sum(preset(3, 2).sets[i][k[i]] for i in range(3))
-                           for k in sc.index_map])
-    assert np.array_equal(sc.points, recomputed)
+def test_sum_constellation_order_matches_product():
+    # codeword k is the k-th tuple of the product over sets, antenna 1 most significant
+    cs = preset(3, 2)
+    sc = sum_constellation(cs)
+    assert sc.shape == (64,)
+    recomputed = np.array([sum(x) for x in itertools.product(*cs.sets)])
+    assert np.array_equal(sc, recomputed)
 
 
 def test_sum_constellation_budget_exceeded():
@@ -195,7 +194,7 @@ def test_min_sum_distance_values():
 def test_min_sum_distance_matches_bruteforce():
     for nt, bits in [(3, 1), (3, 2), (4, 1), (4, 2), (8, 1)]:
         cs = preset(nt, bits)
-        assert min_sum_distance(cs) == brute_min_pairwise(sum_constellation(cs).points)
+        assert min_sum_distance(cs) == brute_min_pairwise(sum_constellation(cs))
 
 
 # ----------------------------------------------------------------- geometric
@@ -207,9 +206,9 @@ def test_geometric_family_single_antenna():
 
 def test_geometric_family_square_grid():
     sc = sum_constellation(geometric_qam_family(4, 4, 0.5))
-    assert np.unique(sc.points).size == 256
-    assert np.allclose(np.unique(sc.points.real), np.arange(-1.875, 1.876, 0.25))
-    assert np.allclose(np.unique(sc.points.imag), np.arange(-1.875, 1.876, 0.25))
+    assert np.unique(sc).size == 256
+    assert np.allclose(np.unique(sc.real), np.arange(-1.875, 1.876, 0.25))
+    assert np.allclose(np.unique(sc.imag), np.arange(-1.875, 1.876, 0.25))
     assert min_sum_distance(geometric_qam_family(4, 4, 0.5)) == pytest.approx(0.25, rel=1e-12)
 
 
@@ -219,7 +218,7 @@ def test_geometric_family_full_diversity_and_pitch(nt):
     report = check_full_diversity(cs)
     assert report.passes
     assert report.min_sum_distance == pytest.approx(2 * 0.5 ** (nt - 1), rel=1e-12)
-    assert np.unique(sum_constellation(cs).points).size == 4 ** nt
+    assert np.unique(sum_constellation(cs)).size == 4 ** nt
 
 
 def test_geometric_family_rejects_bad_args():
@@ -349,8 +348,6 @@ def test_rejects_bad_tol():
     for bad in (-1.0, np.nan, np.inf):
         with pytest.raises(ConfigurationError, match="tol"):
             check_full_diversity(base, bad)
-        with pytest.raises(ConfigurationError, match="tol"):
-            optimize_rotations_scalings(base, GridSpec(0.5, np.pi), 2.0, tol=bad)
     assert check_full_diversity(base, 0.0).passes
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import gammainc
 
-from fdprecode.constellation import geometric_qam_family, preset, sum_constellation
+from fdprecode.constellation import preset, sum_constellation
 from fdprecode.detector import codeword_matrix
 from fdprecode.errors import ConfigurationError
 from fdprecode.simulator import (
@@ -28,7 +28,7 @@ def curve_from_cer(snr_db, cer, errors=1000):
 
 
 def small_config(**kw):
-    defaults = dict(nt=3, nr=1, constellation=preset(3, 1), snr_grid_db=(10.0,),
+    defaults = dict(nr=1, constellation=preset(3, 1), snr_grid_db=(10.0,),
                     trials_per_point=1000, seed=1)
     defaults.update(kw)
     return SimConfig(**defaults)
@@ -47,8 +47,6 @@ def test_config_validation():
         small_config(trials_per_point=0)
     with pytest.raises(ConfigurationError):
         small_config(scheme="zf")
-    with pytest.raises(ConfigurationError):
-        small_config(nt=4)  # constellation has 3 sets
     with pytest.raises(ConfigurationError):
         small_config(target_errors=0)
     for grid in ((float("nan"),), (10.0, float("nan")), (10.0, float("inf")),
@@ -120,8 +118,8 @@ def test_symbol_tables_match_per_antenna_loops():
         for i in range(nt):
             idx = idx * sizes[i] + cw[:, i]
             s = s + cs.sets[i][cw[:, i]]
-        assert np.array_equal(np.ravel_multi_index(tuple(cw.T), sizes), idx)
-        assert np.array_equal(sum_constellation(cs).points[idx], s)
+        assert np.array_equal(np.ravel_multi_index(tuple(cw.T), (1 << bits,) * nt), idx)
+        assert np.array_equal(sum_constellation(cs)[idx], s)
         rows = np.stack([cs.sets[i][cw[:, i]] for i in range(nt)], axis=1)
         assert np.array_equal(codeword_matrix(cs)[idx], rows)
 
@@ -159,23 +157,21 @@ def test_wilson_interval_basics():
 
 # --------------------------------------------------------------- d^2_min pdf
 
-def test_dmin_requires_proposed_scheme():
-    cfg = small_config(scheme="unprecoded_vblast")
-    with pytest.raises(ConfigurationError):
-        sample_dmin_pdf(cfg, 1000)
-
-
 def test_dmin_count_is_bounded():
-    cfg = small_config()
     for count in (0, (1 << 24) + 1):
         with pytest.raises(ConfigurationError, match="count"):
-            sample_dmin_pdf(cfg, count)
+            sample_dmin_pdf(3, 1, 1, count)
+
+
+def test_dmin_checks_antennas_and_seed():
+    for nt, nr, seed, key in [(0, 1, 1, "antenna"), (3, 0, 1, "antenna"),
+                              (3, 1, -1, "seed"), (3, 1, 1 << 128, "seed")]:
+        with pytest.raises(ConfigurationError, match=key):
+            sample_dmin_pdf(nt, nr, seed, 1000)
 
 
 def test_dmin_samples_chisquare_1x1():
-    cfg = SimConfig(nt=1, nr=1, constellation=geometric_qam_family(1, 4, 0.5),
-                    snr_grid_db=(0.0,), trials_per_point=1, seed=7)
-    z = sample_dmin_pdf(cfg, 100000)
+    z = sample_dmin_pdf(1, 1, 7, 100000)
     assert z.size == 100000
     assert np.all(z >= 0)
     stat, p = ks_test_chisq(z, 2)
@@ -184,17 +180,14 @@ def test_dmin_samples_chisquare_1x1():
 
 @pytest.mark.parametrize("nt,nr", [(4, 1), (3, 2)])
 def test_dmin_samples_match_full_diversity_dof(nt, nr):
-    cfg = SimConfig(nt=nt, nr=nr, constellation=preset(nt, 1), snr_grid_db=(0.0,),
-                    trials_per_point=1, seed=7)
-    z = sample_dmin_pdf(cfg, 100000)
+    z = sample_dmin_pdf(nt, nr, 7, 100000)
     _, p = ks_test_chisq(z, 2 * nt * nr)
     assert p >= 0.01
 
 
 def test_dmin_threads_identical():
-    cfg = small_config(seed=42)
-    a = sample_dmin_pdf(cfg, 70000, threads=1)
-    b = sample_dmin_pdf(cfg, 70000, threads=8)
+    a = sample_dmin_pdf(3, 1, 42, 70000, threads=1)
+    b = sample_dmin_pdf(3, 1, 42, 70000, threads=8)
     assert np.array_equal(a, b)
 
 
@@ -288,10 +281,10 @@ def test_proposed_beats_unprecoded_baseline_slope():
     # diversity 3 vs 1 on a 3x1 link; compare fitted slopes over a broad window
     window = (5e-4, 1e-1)
     snr = (4.0, 8.0, 12.0, 16.0, 20.0, 24.0)
-    prop = run_cer_sweep(SimConfig(nt=3, nr=1, constellation=preset(3, 1),
+    prop = run_cer_sweep(SimConfig(nr=1, constellation=preset(3, 1),
                                    snr_grid_db=snr, trials_per_point=150000,
                                    seed=11), threads=4)
-    base = run_cer_sweep(SimConfig(nt=3, nr=1, constellation=preset(3, 1),
+    base = run_cer_sweep(SimConfig(nr=1, constellation=preset(3, 1),
                                    snr_grid_db=snr, trials_per_point=150000,
                                    seed=11, scheme="unprecoded_vblast"), threads=4)
     s_prop = estimate_diversity_slope(prop, window)
