@@ -136,7 +136,11 @@ COMMANDS = {
 }
 
 # keys a manifest records from the run itself; a config may repeat them only if they match
-DERIVED = {"simulate": ("nt", "bits"), "dmin-pdf": ("nt", "bits", "scheme")}
+DERIVED = {"simulate": ("nt", "bits"), "dmin-pdf": ("nt", "bits")}
+
+# keys older manifests recorded that the command no longer takes: a config may
+# repeat one only with the value it always had, and it is not recorded again
+_RETIRED = {"dmin-pdf": {"scheme": "proposed"}}
 
 # flags for this invocation's own files, never read from a config
 _LOCAL = ("config", "out", "plot")
@@ -175,6 +179,10 @@ def resolve_options(args) -> dict:
     """
     names = [n for n in COMMANDS[args.command][1] if n not in _LOCAL]
     given = read_config_file(args.config) if args.config else {}
+    for key, value in _RETIRED.get(args.command, {}).items():
+        if (got := given.pop(key, value)) != value:
+            raise ConfigurationError(
+                f"{args.config}: {key} must be {value!r} for {args.command}, got {got!r}")
     for key in given:
         if key not in names and key not in DERIVED.get(args.command, ()):
             raise ConfigurationError(f"{args.config}: unknown key {key!r} for {args.command}")
@@ -201,7 +209,7 @@ def _load_sets(options, command=None):
         sets, source = load_constellation(options["constellation_file"]), options["constellation_file"]
     else:
         raise ConfigurationError("no constellation given: use --preset or a constellation file")
-    facts = {"nt": sets.nt, "bits": sets.bits_per_symbol, "scheme": "proposed"}
+    facts = {"nt": sets.nt, "bits": sets.bits_per_symbol}
     for key in DERIVED.get(command, ()):
         if options.setdefault(key, facts[key]) != facts[key]:
             raise ConfigurationError(f"{key} is {options[key]!r}, but this run has {facts[key]!r}")

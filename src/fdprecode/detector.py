@@ -67,12 +67,13 @@ class FastMLDecoder:
     its bucket grid built once.
 
     Refuses colliding sums at construction: the decision would be ambiguous.
-    The grid's cell side is half the minimum spacing d that this check
-    computes, so a cell holds at most one sum; it is padded by `_RADIUS + 1`
-    cells on every side, and empty cells hold the sentinel index N, whose
-    point lies at infinity. No grid is built for tables of at most
-    (2 * _RADIUS + 1)^2 sums, or when the grid would need more than
-    `_MAX_CELLS_PER_SUM` cells per sum; every query then takes the
+    The minimum spacing d comes from the same exact bucket-grid closest-pair
+    search the constellation checker uses (`constellation._min_pairwise`).
+    The grid's cell side is d / 2, so a cell holds at most one sum; it is
+    padded by `_RADIUS + 1` cells on every side, and empty cells hold the
+    sentinel index N, whose point lies at infinity. No grid is built for
+    tables of at most (2 * _RADIUS + 1)^2 sums, or when the grid would need
+    more than `_MAX_CELLS_PER_SUM` cells per sum; every query then takes the
     exhaustive argmin.
     """
 

@@ -270,6 +270,28 @@ def test_dmin_pdf_manifest_rerun_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_dmin_pdf_manifest_records_no_scheme(tmp_path):
+    out = tmp_path / "d.csv"
+    assert run(["dmin-pdf", "--preset", "3x1", "--count", "1000", "--out", out]) == 0
+    config = json.loads((tmp_path / "d.csv.manifest.json").read_text())["config"]
+    assert "scheme" not in config
+    assert config["nt"] == "3" and config["bits"] == "1"
+
+
+def test_dmin_pdf_old_manifest_with_scheme_reruns_identical(tmp_path):
+    # dmin-pdf manifests used to record scheme = proposed; they still rerun
+    out1, out2 = tmp_path / "d1.csv", tmp_path / "d2.csv"
+    assert run(["dmin-pdf", "--preset", "3x1", "--count", "20000", "--seed", "3",
+                "--out", out1]) == 0
+    manifest = tmp_path / "d1.csv.manifest.json"
+    data = json.loads(manifest.read_text())
+    data["config"]["scheme"] = "proposed"
+    manifest.write_text(json.dumps(data))
+    assert run(["dmin-pdf", "--config", manifest, "--out", out2]) == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert "scheme" not in json.loads((tmp_path / "d2.csv.manifest.json").read_text())["config"]
+
+
 # ------------------------------------------------------------ option handling
 
 SIM = ["simulate", "--preset", "3x1", "--trials", "64", "--threads", "1"]
@@ -303,13 +325,14 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
     (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--seed", "-1"], None, "seed"),
     (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--seed", str(1 << 128)], None, "seed"),
     (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--nr", "0"], None, "nr"),
+    (["dmin-pdf", "--preset", "3x1", "--count", "1000"], "scheme = unprecoded_vblast\n", "scheme"),
     (["check-constellation", "3x1", "--preset", "4x1"], None, "preset"),
     (["check-constellation", "nofile.txt", "--preset", "3x2"], None, "preset"),
     (["check-constellation", "3x1"], "constellation_file = nofile.txt\n", "preset"),
 ], ids=["empty-snr-item", "trials-abc", "truncated-manifest", "snr-nan", "unknown-key",
         "negative-seed", "wide-seed", "old-optimize-manifest", "tol-negative", "tol-nan",
         "budget-nan", "budget-inf", "b-step-tiny", "phi-step-tiny", "bins-huge",
-        "count-huge", "dmin-negative-seed", "dmin-wide-seed", "dmin-nr-zero",
+        "count-huge", "dmin-negative-seed", "dmin-wide-seed", "dmin-nr-zero", "dmin-scheme-baseline",
         "check-target-and-preset", "check-file-target-and-preset", "check-target-and-config-file"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, config, key):
     written = []

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdprecode.constellation import (
+    _ALL_PAIRS_MAX,
     UNVERIFIED_PRESETS,
     ConstellationSets,
     GridSpec,
@@ -19,6 +21,7 @@ from fdprecode.constellation import (
     qam_points,
     save_constellation,
     sum_constellation,
+    _min_pairwise,
 )
 from fdprecode.errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesignError
 
@@ -197,6 +200,79 @@ def test_min_sum_distance_matches_bruteforce():
         assert min_sum_distance(cs) == brute_min_pairwise(sum_constellation(cs))
 
 
+# ------------------------------------------------------------- closest pair
+
+def assert_closest_pair_exact(points):
+    d, i, j = _min_pairwise(points)
+    assert d == brute_min_pairwise(points)
+    assert 0 <= i < j < points.size
+    # numpy's complex abs, which can differ from Python's abs() by an ulp
+    assert np.abs(points[i] - points[j]) == d
+
+
+def _lattice(side):
+    u, v = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+    return (u + 1j * v).ravel().astype(complex)
+
+
+def test_closest_pair_duplicates_and_near_duplicates():
+    points = _lattice(12)
+    assert_closest_pair_exact(np.concatenate([points, points[[5, 77, 140]]]))
+    near = points.copy()
+    near[100] = near[99] + 1e-13
+    assert_closest_pair_exact(near)
+    assert _min_pairwise(np.full(100, 2 - 1j)) == (0.0, 0, 1)
+
+
+def test_closest_pair_collinear():
+    rng = np.random.default_rng(1)
+    assert_closest_pair_exact(rng.normal(size=300) + 0j)  # zero-height box
+    assert_closest_pair_exact(1j * rng.normal(size=300))  # zero-width box
+    assert_closest_pair_exact(np.exp(0.7j) * rng.normal(size=300))
+
+
+def test_closest_pair_tight_cluster_beside_wide_spread():
+    rng = np.random.default_rng(2)
+    cluster = 5.0 + 1e-9 * (rng.normal(size=100) + 1j * rng.normal(size=100))
+    spread = 1e3 * (rng.normal(size=200) + 1j * rng.normal(size=200))
+    assert_closest_pair_exact(np.concatenate([cluster, spread]))
+
+
+def test_closest_pair_rotated_and_wide_lattices():
+    assert_closest_pair_exact(np.exp(0.3j) * _lattice(16))
+    assert_closest_pair_exact(1e6 / 15 * _lattice(16) + (3e6 - 2e6j))
+
+
+@pytest.mark.parametrize("n", [_ALL_PAIRS_MAX, _ALL_PAIRS_MAX + 1])
+def test_closest_pair_at_the_all_pairs_cutoff(n):
+    rng = np.random.default_rng(n)
+    assert_closest_pair_exact(rng.normal(size=n) + 1j * rng.normal(size=n))
+    assert_closest_pair_exact(_lattice(9)[:n])
+
+
+def test_closest_pair_memory_is_bounded():
+    # the 16x1 lattice and the 4x4 preset's colliding sums, 65536 points each
+    for nt, bits in [(16, 1), (4, 4)]:
+        sums = sum_constellation(preset(nt, bits))
+        tracemalloc.start()
+        try:
+            _min_pairwise(sums)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8e6
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.lists(st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False),
+             min_size=2, max_size=300),
+    st.lists(st.builds(complex, st.integers(-8, 8), st.integers(-8, 8)),
+             min_size=2, max_size=300)))
+def test_closest_pair_matches_all_pairs(points):
+    assert_closest_pair_exact(np.array(points, dtype=complex))
+
+
 # ----------------------------------------------------------------- geometric
 
 def test_geometric_family_single_antenna():
@@ -326,6 +402,19 @@ def test_optimizer_matches_naive_oracle_on_coarse_grid():
     # the known design point sits on this grid: 0.675 = 9 * 0.075, pi/4 = 3 * pi/12
     assert res.scales[2] == pytest.approx(0.675, abs=1e-12)
     assert res.rotations[2] == pytest.approx(np.pi / 4, abs=1e-12)
+
+
+def test_optimizer_matches_naive_oracle_on_grid_search_stages():
+    # 8-PSK on three antennas: stage 2 holds 64 sums (all pairs), stage 3 holds 512 (grid)
+    psk = np.exp(2j * np.pi * np.arange(8) / 8)
+    base = ConstellationSets((psk,) * 3, 3)
+    grid = GridSpec(0.25, np.pi / 10)
+    res = optimize_rotations_scalings(base, grid, 1.7)
+    oracle = naive_stagewise_search(base, grid, 1.7)
+    assert oracle is not None
+    assert np.array_equal(res.scales, oracle[0])
+    assert np.array_equal(res.rotations, oracle[1])
+    assert res.min_sum_distance == brute_min_pairwise(sum_constellation(res.sets))
 
 
 def test_optimizer_infeasible_budget():
