@@ -20,7 +20,9 @@ search over its sums (`_min_pairwise`): all pairs at once for up to 64
 points, and a bucket grid of about one point per cell above that, so a
 65536-sum check costs a few linear passes rather than a sort-and-widen scan
 over hundreds of offsets. Its minimum equals an exhaustive pair scan's bit
-for bit.
+for bit. The optimizer asks it only whether a candidate beats the
+incumbent; one close enough pair answers no, so the search may stop there,
+and the design found is still the one exhaustive scoring picks.
 
 Constellation file format (used by the CLI): a header line ``nt bits``
 followed by one line per point, ``i re im`` with 1-based antenna index i and
@@ -41,6 +43,8 @@ _MAX_GRID_POINTS = 1 << 16
 # once, and the candidate pairs evaluated together, bounding temporaries
 _ALL_PAIRS_MAX = 64
 _PAIR_CHUNK = 1 << 15
+# optimizer stages above this many sums score the leading ones first
+_SUBSET_SUMS = 1 << 10
 
 # 4-bit presets fail sum-injectivity under the odd-integer QAM convention
 UNVERIFIED_PRESETS = {(3, 4), (4, 4)}
@@ -205,7 +209,7 @@ def sum_constellation(cs: ConstellationSets) -> np.ndarray:
     return sums
 
 
-def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
+def _min_pairwise(points: np.ndarray, stop: float = -np.inf) -> tuple[float, int, int]:
     """Exact minimum pairwise |difference| over finite points, and an index
     pair (i, j), i < j, attaining it; (inf, -1, -1) for fewer than two points.
 
@@ -220,6 +224,12 @@ def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
     difference, so the result is bit-identical to an exhaustive pair scan.
     On lattice-like sums a pass is linear; a dense cluster inside one cell
     costs its pairs squared.
+
+    `stop` serves callers that only ask whether the minimum exceeds it: the
+    grid search may return as soon as it has found a pair at most `stop`
+    apart, and then returns that pair and its distance, which is <= stop but
+    possibly above the minimum. A minimum above `stop` is always returned
+    exact, pair included, since no pair found on the way can end the search.
     """
     n = points.size
     if n < 2:
@@ -238,15 +248,16 @@ def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
     # that is not evaluated is at least side / slack apart
     slack = 1.0 + 8 * n * np.finfo(float).eps
     while True:
-        best, i, j = _grid_closest(points, side)
-        if best * slack <= side:
+        best, i, j = _grid_closest(points, side, stop)
+        if best <= stop or best * slack <= side:
             return best, i, j
         side = min(best, 2 * side) * slack
 
 
-def _grid_closest(points: np.ndarray, side: float) -> tuple[float, int, int]:
+def _grid_closest(points: np.ndarray, side: float, stop: float = -np.inf) -> tuple[float, int, int]:
     """Closest pair (d, i, j), i < j, among points in the same or adjacent
-    grid cells of `side`, or (inf, -1, -1) if no two points are neighbours."""
+    grid cells of `side`, or (inf, -1, -1) if no two points are neighbours;
+    the scan ends early once its best pair is <= max(stop, 0)."""
     n = points.size
     cx = np.floor((points.real - points.real.min()) / side).astype(np.intp)
     key = np.floor((points.imag - points.imag.min()) / side).astype(np.intp) + 1
@@ -265,8 +276,9 @@ def _grid_closest(points: np.ndarray, side: float) -> tuple[float, int, int]:
         cum += occupancy[key + o]
     np.cumsum(cum, out=cum)
     best, bi, bj = np.inf, -1, -1
+    floor = max(stop, 0.0)  # nothing beats a collision
     lo = 0
-    while lo < n and best > 0:  # nothing beats a collision
+    while lo < n and best > floor:
         base = cum[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(cum, base + _PAIR_CHUNK, side="right")))
         r = np.arange(lo, hi)
@@ -337,6 +349,15 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
     lexicographically smallest (b, phi) wins, so mathematically equivalent
     rotations resolve deterministically.
 
+    Skipping is exact: a candidate wins only if its distance exceeds
+    stop = incumbent * (1 + 1e-9) (the distinctness tolerance before any
+    incumbent), so one pair of its sums at most `stop` apart rules it out.
+    The closest-pair search returns at such a pair, and a stage of more than
+    1024 sums first searches its leading 1024, a subset whose closest pair
+    is no closer than the whole stage's. A winner is always scored exactly,
+    so scan order, ties and result equal a full scoring of every grid point.
+    Stages of at most 64 sums score one scale's rotations in one array.
+
     The result reports the achieved min_sum_distance, so coarse grids are
     honest about what they found. Raises InfeasibleDesignError when some
     stage has no feasible grid point.
@@ -356,32 +377,67 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
             f"no full-diversity point found: set 1 alone needs energy {spent:g} > budget {power_budget:g}")
 
     for i in range(1, base.nt):
-        if prefix.size * base.sets[i].size > ENUM_BUDGET:
+        c = base.sets[i]
+        if prefix.size * c.size > ENUM_BUDGET:
             raise EnumerationBudgetError(
-                f"enumeration infeasible: stage {i + 1} would hold {prefix.size * base.sets[i].size} sums")
+                f"enumeration infeasible: stage {i + 1} would hold {prefix.size * c.size} sums")
+        small = prefix.size * c.size <= _ALL_PAIRS_MAX
         best_val = None
         best = None
         for b in b_values:
             if spent + b * b * energies[i] > power_budget:
                 break  # b ascends, so all later scales are infeasible too
-            for phi in phi_values:
-                w = b * np.exp(1j * phi)
-                pts = (prefix[:, None] + w * base.sets[i][None, :]).ravel()
-                d, _, _ = _min_pairwise(pts)
-                if d <= DEFAULT_DISTINCT_TOL:
-                    continue
-                if best_val is None or d > best_val * (1 + _TIE_REL):
-                    best_val, best = d, (float(b), float(phi), pts)
+            ws = [b * np.exp(1j * phi) for phi in phi_values]
+            minima = iter(_all_pairs_minima(prefix, c, ws)) if small else None
+            for phi, w in zip(phi_values, ws):
+                # the incumbent changes only above `stop`, so a candidate is
+                # settled by any one pair at most `stop` apart
+                stop = DEFAULT_DISTINCT_TOL if best_val is None else best_val * (1 + _TIE_REL)
+                d = next(minima) if small else _candidate_min(prefix, w * c, stop)
+                if d > stop:
+                    best_val, best = d, (float(b), float(phi), w)
         if best is None:
             raise InfeasibleDesignError(
                 f"no full-diversity point found for set {i + 1} within the budget")
-        scales[i], rotations[i], prefix = best
+        scales[i], rotations[i], w = best
+        prefix = (prefix[:, None] + w * c[None, :]).ravel()
         spent += scales[i] * scales[i] * energies[i]
 
     final = tuple(scales[i] * np.exp(1j * rotations[i]) * base.sets[i] for i in range(base.nt))
     result_sets = ConstellationSets(final, base.bits_per_symbol)
     return OptimizationResult(sets=result_sets, scales=scales, rotations=rotations,
                               min_sum_distance=min_sum_distance(result_sets))
+
+
+def _all_pairs_minima(prefix: np.ndarray, c: np.ndarray, ws: list) -> np.ndarray:
+    """Exact minimum pairwise distance of the sums prefix + w c for each w in
+    ws, for stages of at most _ALL_PAIRS_MAX sums: _min_pairwise's all-pairs
+    rule over one more axis, equal to it under ==, in chunks of rotations
+    holding about _PAIR_CHUNK pairs."""
+    n = prefix.size * c.size
+    i, j = np.triu_indices(n, 1)
+    rows = max(1, _PAIR_CHUNK // i.size)
+    out = []
+    for lo in range(0, len(ws), rows):
+        wc = np.array(ws[lo:lo + rows])[:, None] * c[None, :]
+        pts = (prefix[None, :, None] + wc[:, None, :]).reshape(wc.shape[0], n)
+        out.append(np.abs(pts[:, i] - pts[:, j]).min(axis=1))
+    return np.concatenate(out)
+
+
+def _candidate_min(prefix: np.ndarray, wc: np.ndarray, stop: float) -> float:
+    """Minimum pairwise distance of the sums prefix + wc, in lexicographic
+    order, with _min_pairwise's `stop` contract: exact above `stop`, else a
+    pair distance <= stop. A large stage first scores its leading
+    _SUBSET_SUMS sums: a subset is never closer-spaced than the whole, so a
+    pair at most `stop` apart among them settles the candidate."""
+    if prefix.size * wc.size > _SUBSET_SUMS:
+        rows = max(1, _SUBSET_SUMS // wc.size)
+        d, _, _ = _min_pairwise((prefix[:rows, None] + wc[None, :]).ravel(), stop)
+        if d <= stop:
+            return d
+    d, _, _ = _min_pairwise((prefix[:, None] + wc[None, :]).ravel(), stop)
+    return d
 
 
 def save_constellation(cs: ConstellationSets, path) -> None:

@@ -27,13 +27,14 @@ from .precoder import precoder_matrix
 BRUTEFORCE_BUDGET = 1 << 16
 
 
-def codeword_matrix(cs: ConstellationSets) -> np.ndarray:
-    """All codewords as an (N, nt) array in lexicographic index order."""
+def codeword_matrix(cs: ConstellationSets,
+                    remedy: str = "use the sum-constellation decoder") -> np.ndarray:
+    """All codewords as an (N, nt) array in lexicographic index order; a
+    codebook over BRUTEFORCE_BUDGET raises, naming the caller's `remedy`."""
     n = cs.codebook_size
     if n > BRUTEFORCE_BUDGET:
         raise EnumerationBudgetError(
-            f"enumeration infeasible: {n} codewords exceed the budget {BRUTEFORCE_BUDGET}; "
-            "use the sum-constellation decoder")
+            f"enumeration infeasible: {n} codewords exceed the budget {BRUTEFORCE_BUDGET}; {remedy}")
     return np.stack(np.meshgrid(*cs.sets, indexing="ij"), -1).reshape(n, cs.nt)
 
 

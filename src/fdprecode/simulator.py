@@ -132,7 +132,9 @@ class _Engine:
             self.symbols = sum_constellation(cs)
             self.decoder = FastMLDecoder(self.symbols)
         else:
-            self.symbols = codeword_matrix(cs)
+            # the baseline has no sum-constellation decoder to fall back on
+            self.symbols = codeword_matrix(
+                cs, "the unprecoded_vblast baseline decodes exhaustively; use --scheme proposed")
             self.decoder = None
 
     def sigma2(self, snr_db: float) -> float:

@@ -152,6 +152,19 @@ def test_simulate_infeasible_codebook_is_domain_failure(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+def test_baseline_budget_error_names_the_proposed_scheme(tmp_path, capsys):
+    # 5 x 4 bits is 2^20 codewords: too many for the baseline's exhaustive
+    # decoder, which has no sum-constellation decoder to fall back on
+    path = tmp_path / "five.txt"
+    save_constellation(geometric_qam_family(5, 16, 0.25), path)
+    code = run(["simulate", "--constellation-file", path, "--scheme", "unprecoded_vblast",
+                "--snr", "5", "--trials", "10", "--out", tmp_path / "x.csv"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "1048576 codewords" in err and "--scheme proposed" in err
+    assert "sum-constellation" not in err
+
+
 # --------------------------------------------------------- check-constellation
 
 def test_check_passing_preset(capsys):

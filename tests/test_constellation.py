@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdprecode import constellation
 from fdprecode.constellation import (
     _ALL_PAIRS_MAX,
     UNVERIFIED_PRESETS,
@@ -27,9 +28,13 @@ from fdprecode.errors import ConfigurationError, EnumerationBudgetError, Infeasi
 
 
 def brute_min_pairwise(points):
-    """O(N^2) oracle for the minimum pairwise distance."""
-    d = np.abs(points[:, None] - points[None, :])
-    return float(np.min(d[~np.eye(points.size, dtype=bool)]))
+    """O(N^2) oracle for the minimum pairwise distance, 256 rows at a time."""
+    best = np.inf
+    for lo in range(0, points.size, 256):
+        d = np.abs(points[lo:lo + 256, None] - points[None, :])
+        d[np.arange(d.shape[0]), np.arange(lo, lo + d.shape[0])] = np.inf  # i == j
+        best = min(best, float(d.min()))
+    return best
 
 
 def brute_diversity_verdict(cs, tol):
@@ -208,6 +213,22 @@ def assert_closest_pair_exact(points):
     assert 0 <= i < j < points.size
     # numpy's complex abs, which can differ from Python's abs() by an ulp
     assert np.abs(points[i] - points[j]) == d
+    spread = max(np.ptp(points.real), np.ptp(points.imag))
+    for stop in (-np.inf, 0.0, d / 2, d, d * (1 + 1e-9), 2 * d, spread):
+        assert_threshold_stop(points, stop)
+
+
+def assert_threshold_stop(points, stop):
+    """_min_pairwise(points, stop) is exact above `stop`, and otherwise a
+    pair at most `stop` apart."""
+    exact = _min_pairwise(points)
+    d, i, j = _min_pairwise(points, stop)
+    if exact[0] > stop:
+        assert (d, i, j) == exact
+    else:
+        assert d <= stop
+        assert 0 <= i < j < points.size
+        assert np.abs(points[i] - points[j]) == d
 
 
 def _lattice(side):
@@ -263,14 +284,36 @@ def test_closest_pair_memory_is_bounded():
         assert peak <= 8e6
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.one_of(
+POINT_LISTS = st.one_of(
     st.lists(st.complex_numbers(max_magnitude=1e100, allow_nan=False, allow_infinity=False),
              min_size=2, max_size=300),
     st.lists(st.builds(complex, st.integers(-8, 8), st.integers(-8, 8)),
-             min_size=2, max_size=300)))
+             min_size=2, max_size=300))
+
+
+@settings(max_examples=100, deadline=None)
+@given(POINT_LISTS)
 def test_closest_pair_matches_all_pairs(points):
     assert_closest_pair_exact(np.array(points, dtype=complex))
+
+
+def test_threshold_stop_ends_the_scan_early():
+    # 16384 lattice points span several scan chunks; the closest pair, moved
+    # together, is in the last one, and a stop at the lattice pitch ends the
+    # scan after the first
+    points = _lattice(128)
+    points[-1] = points[-2] + 1e-3
+    close = np.abs(points[-1] - points[-2])
+    assert _min_pairwise(points) == (close, points.size - 2, points.size - 1)
+    assert _min_pairwise(points, 1.0)[0] == 1.0  # above the minimum: the scan ended early
+    assert_threshold_stop(points, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(POINT_LISTS, st.floats(0, 3))
+def test_threshold_stop_property(points, scale):
+    points = np.array(points, dtype=complex)
+    assert_threshold_stop(points, scale * _min_pairwise(points)[0])
 
 
 # ----------------------------------------------------------------- geometric
@@ -356,7 +399,10 @@ def test_sets_validation():
 # ----------------------------------------------------------------- optimizer
 
 def naive_stagewise_search(base, grid, budget, tol=1e-12, tie_rel=1e-9):
-    """Independent loop-based replica of the stagewise grid search."""
+    """Independent loop-based replica of the stagewise grid search, returning
+    scales, rotations and the last stage's distance. It scores every
+    candidate in full: by brute force up to 4096 sums, and with the exact
+    `_min_pairwise` above."""
     energies = [np.mean(np.abs(c) ** 2) for c in base.sets]
     scales, rotations = [1.0], [0.0]
     prefix = np.array(base.sets[0])
@@ -368,18 +414,18 @@ def naive_stagewise_search(base, grid, budget, tol=1e-12, tie_rel=1e-9):
                 continue
             for phi in grid.rotation_values():
                 pts = (prefix[:, None] + b * np.exp(1j * phi) * base.sets[i][None, :]).ravel()
-                d = brute_min_pairwise(pts)
+                d = brute_min_pairwise(pts) if pts.size <= 4096 else _min_pairwise(pts)[0]
                 if d <= tol:
                     continue
                 if best is None or d > best[0] * (1 + tie_rel):
                     best = (d, b, phi, pts)
         if best is None:
             return None
-        _, b, phi, prefix = best
+        d, b, phi, prefix = best
         scales.append(b)
         rotations.append(phi)
         spent += b * b * energies[i]
-    return scales, rotations
+    return scales, rotations, d
 
 
 def test_optimizer_single_set_is_trivial():
@@ -415,6 +461,30 @@ def test_optimizer_matches_naive_oracle_on_grid_search_stages():
     assert np.array_equal(res.scales, oracle[0])
     assert np.array_equal(res.rotations, oracle[1])
     assert res.min_sum_distance == brute_min_pairwise(sum_constellation(res.sets))
+
+
+def test_optimizer_matches_naive_oracle_where_pruning_acts(monkeypatch):
+    # the benchmark's 4 x 16-QAM run: stages of 256, 4096 and 65536 sums, the
+    # last two above the subset size, so most candidates are settled early
+    q16 = qam_points(16)
+    base = ConstellationSets((q16,) * 4, 4)
+    grid = GridSpec(0.05, np.pi / 18)
+    oracle = naive_stagewise_search(base, grid, 10.7)
+    assert oracle is not None
+    scored = []
+
+    def counted(points, stop=-np.inf):
+        scored.append((points.size, stop))
+        return _min_pairwise(points, stop)
+
+    monkeypatch.setattr(constellation, "_min_pairwise", counted)
+    res = optimize_rotations_scalings(base, grid, 10.7)
+    assert np.array_equal(res.scales, oracle[0])
+    assert np.array_equal(res.rotations, oracle[1])
+    assert res.min_sum_distance == oracle[2]
+    # stage 4 scores at least its winner in full, and at most 5 candidates
+    full = [stop for size, stop in scored if size == 65536 and stop > -np.inf]
+    assert 1 <= len(full) <= 5
 
 
 def test_optimizer_infeasible_budget():

@@ -7,9 +7,15 @@ from fdprecode.constellation import (
     ConstellationSets,
     geometric_qam_family,
     preset,
+    qam_points,
     sum_constellation,
 )
-from fdprecode.detector import FastMLDecoder, codeword_matrix, ml_decode_bruteforce
+from fdprecode.detector import (
+    FastMLDecoder,
+    codeword_matrix,
+    exhaustive_decode_batch,
+    ml_decode_bruteforce,
+)
 from fdprecode.errors import ConfigurationError, EnumerationBudgetError
 from fdprecode.precoder import angles_for_channel, effective_channel
 
@@ -100,6 +106,32 @@ def test_bruteforce_budget_error_points_to_fast_path():
     with pytest.raises(EnumerationBudgetError, match="sum-constellation"):
         ml_decode_bruteforce(np.zeros(1, dtype=complex), np.ones((1, 16), dtype=complex),
                              np.ones(16, dtype=complex), cs)
+
+
+@pytest.mark.parametrize("nr", [1, 2, 3])
+def test_exhaustive_decode_batch_is_the_unprecoded_ml_decoder(nr):
+    # transfer = H, as the unprecoded V-BLAST baseline calls it: nt = 2, so
+    # nr = 1 lies below nt and nr = 3 above it. 4096 codewords make each
+    # chunk 512 / nr rows, so 1100 rows span several chunks.
+    q64 = qam_points(64)
+    x = codeword_matrix(ConstellationSets((q64, q64), 6))
+    rows = 1100
+    h = channels(66, 0, rows, nr, 2)
+    rng = np.random.default_rng([66, nr, 0])
+    k = rng.integers(x.shape[0], size=rows)
+    y = np.einsum("bon,bn->bo", h, x[k]) + 4 * (rng.standard_normal((rows, nr))
+                                                + 1j * rng.standard_normal((rows, nr)))
+    # an exact tie: identical columns of H see only x_1 + x_2, so (p, q) and
+    # (q, p) score alike; small integers keep every metric exact
+    h[0] = np.array([2 - 1j, -1 + 3j, 1 + 1j])[:nr, None]
+    y[0] = h[0] @ np.array([5 + 3j, -1 - 7j]) + 0.5
+    got = exhaustive_decode_batch(y, h, x)
+    for b in range(rows):
+        metric = np.linalg.norm(y[b] - x @ h[b].T, axis=1)  # ||y - H x_k|| for every k
+        assert got[b] == np.argmin(metric)
+        if b == 0:
+            tied = np.nonzero(metric == metric.min())[0]
+            assert tied.size >= 2 and got[0] == tied[0]
 
 
 def test_fast_decoder_refuses_noninjective_sums():
