@@ -32,14 +32,7 @@ from .constellation import (
 )
 from .detector import FastMLDecoder, ml_decode_bruteforce
 from .errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesignError
-from .precoder import (
-    angles_for_channel,
-    effective_channel,
-    feedback_angles_batch,
-    per_antenna_phase_residuals,
-    phase_condition_residual,
-    precoder_matrix,
-)
+from .precoder import feedback_angles_batch, per_antenna_phase_residuals, precoder_matrix
 from .simulator import (
     CerCurve,
     SimConfig,
@@ -58,9 +51,8 @@ __all__ = [
     "optimize_rotations_scalings", "preset", "qam_points", "save_constellation",
     "sum_constellation", "FastMLDecoder", "ml_decode_bruteforce",
     "ConfigurationError", "EnumerationBudgetError", "InfeasibleDesignError",
-    "angles_for_channel", "effective_channel",
-    "feedback_angles_batch", "per_antenna_phase_residuals", "phase_condition_residual",
-    "precoder_matrix", "CerCurve", "SimConfig",
+    "feedback_angles_batch", "per_antenna_phase_residuals", "precoder_matrix",
+    "CerCurve", "SimConfig",
     "estimate_diversity_slope", "ks_test_chisq", "run_cer_sweep", "sample_dmin_pdf",
     "wilson_interval",
 ]

@@ -20,8 +20,8 @@ search over its sums (`_min_pairwise`): all pairs at once for up to 64
 points, and a bucket grid of about one point per cell above that, so a
 65536-sum check costs a few linear passes rather than a sort-and-widen scan
 over hundreds of offsets. Its minimum equals an exhaustive pair scan's bit
-for bit. The optimizer asks it only whether a candidate beats the
-incumbent; one close enough pair answers no, so the search may stop there,
+for bit. The optimizer first scores a leading subset of a large stage's
+sums; a subset spaced no wider than the incumbent settles the candidate,
 and the design found is still the one exhaustive scoring picks.
 
 Constellation file format (used by the CLI): a header line ``nt bits``
@@ -209,7 +209,7 @@ def sum_constellation(cs: ConstellationSets) -> np.ndarray:
     return sums
 
 
-def _min_pairwise(points: np.ndarray, stop: float = -np.inf) -> tuple[float, int, int]:
+def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
     """Exact minimum pairwise |difference| over finite points, and an index
     pair (i, j), i < j, attaining it; (inf, -1, -1) for fewer than two points.
 
@@ -224,12 +224,6 @@ def _min_pairwise(points: np.ndarray, stop: float = -np.inf) -> tuple[float, int
     difference, so the result is bit-identical to an exhaustive pair scan.
     On lattice-like sums a pass is linear; a dense cluster inside one cell
     costs its pairs squared.
-
-    `stop` serves callers that only ask whether the minimum exceeds it: the
-    grid search may return as soon as it has found a pair at most `stop`
-    apart, and then returns that pair and its distance, which is <= stop but
-    possibly above the minimum. A minimum above `stop` is always returned
-    exact, pair included, since no pair found on the way can end the search.
     """
     n = points.size
     if n < 2:
@@ -248,16 +242,16 @@ def _min_pairwise(points: np.ndarray, stop: float = -np.inf) -> tuple[float, int
     # that is not evaluated is at least side / slack apart
     slack = 1.0 + 8 * n * np.finfo(float).eps
     while True:
-        best, i, j = _grid_closest(points, side, stop)
-        if best <= stop or best * slack <= side:
+        best, i, j = _grid_closest(points, side)
+        if best * slack <= side:
             return best, i, j
         side = min(best, 2 * side) * slack
 
 
-def _grid_closest(points: np.ndarray, side: float, stop: float = -np.inf) -> tuple[float, int, int]:
+def _grid_closest(points: np.ndarray, side: float) -> tuple[float, int, int]:
     """Closest pair (d, i, j), i < j, among points in the same or adjacent
     grid cells of `side`, or (inf, -1, -1) if no two points are neighbours;
-    the scan ends early once its best pair is <= max(stop, 0)."""
+    the scan ends early at a collision."""
     n = points.size
     cx = np.floor((points.real - points.real.min()) / side).astype(np.intp)
     key = np.floor((points.imag - points.imag.min()) / side).astype(np.intp) + 1
@@ -276,9 +270,8 @@ def _grid_closest(points: np.ndarray, side: float, stop: float = -np.inf) -> tup
         cum += occupancy[key + o]
     np.cumsum(cum, out=cum)
     best, bi, bj = np.inf, -1, -1
-    floor = max(stop, 0.0)  # nothing beats a collision
     lo = 0
-    while lo < n and best > floor:
+    while lo < n and best > 0.0:  # nothing beats a collision
         base = cum[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(cum, base + _PAIR_CHUNK, side="right")))
         r = np.arange(lo, hi)
@@ -350,17 +343,18 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
     rotations resolve deterministically.
 
     Skipping is exact: a candidate wins only if its distance exceeds
-    stop = incumbent * (1 + 1e-9) (the distinctness tolerance before any
-    incumbent), so one pair of its sums at most `stop` apart rules it out.
-    The closest-pair search returns at such a pair, and a stage of more than
-    1024 sums first searches its leading 1024, a subset whose closest pair
-    is no closer than the whole stage's. A winner is always scored exactly,
-    so scan order, ties and result equal a full scoring of every grid point.
-    Stages of at most 64 sums score one scale's rotations in one array.
+    bar = incumbent * (1 + 1e-9) (the distinctness tolerance before any
+    incumbent). A stage of more than 1024 sums first scores its leading
+    1024, a subset whose closest pair is no closer than the whole stage's,
+    so a subset minimum at most `bar` rules the candidate out; any other
+    candidate is scored exactly on the whole stage. Scan order, ties and
+    result therefore equal a full scoring of every grid point. Stages of at
+    most 64 sums score one scale's rotations in one array.
 
     The result reports the achieved min_sum_distance, so coarse grids are
-    honest about what they found. Raises InfeasibleDesignError when some
-    stage has no feasible grid point.
+    honest about what they found: the last stage's winner was scored on
+    exactly the final sums. Raises InfeasibleDesignError when some stage
+    has no feasible grid point.
     """
     if not 0 < power_budget < np.inf:
         raise ConfigurationError(f"power budget must be positive and finite, got {power_budget}")
@@ -372,6 +366,7 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
     rotations = np.zeros(base.nt)
     prefix = np.array(base.sets[0], dtype=complex)
     spent = energies[0]
+    best_val = None
     if spent > power_budget:
         raise InfeasibleDesignError(
             f"no full-diversity point found: set 1 alone needs energy {spent:g} > budget {power_budget:g}")
@@ -382,7 +377,6 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
             raise EnumerationBudgetError(
                 f"enumeration infeasible: stage {i + 1} would hold {prefix.size * c.size} sums")
         small = prefix.size * c.size <= _ALL_PAIRS_MAX
-        best_val = None
         best = None
         for b in b_values:
             if spent + b * b * energies[i] > power_budget:
@@ -390,11 +384,10 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
             ws = [b * np.exp(1j * phi) for phi in phi_values]
             minima = iter(_all_pairs_minima(prefix, c, ws)) if small else None
             for phi, w in zip(phi_values, ws):
-                # the incumbent changes only above `stop`, so a candidate is
-                # settled by any one pair at most `stop` apart
-                stop = DEFAULT_DISTINCT_TOL if best_val is None else best_val * (1 + _TIE_REL)
-                d = next(minima) if small else _candidate_min(prefix, w * c, stop)
-                if d > stop:
+                # the incumbent changes only above `bar`
+                bar = DEFAULT_DISTINCT_TOL if best is None else best_val * (1 + _TIE_REL)
+                d = next(minima) if small else _candidate_min(prefix, w * c, bar)
+                if d > bar:
                     best_val, best = d, (float(b), float(phi), w)
         if best is None:
             raise InfeasibleDesignError(
@@ -403,10 +396,14 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
         prefix = (prefix[:, None] + w * c[None, :]).ravel()
         spent += scales[i] * scales[i] * energies[i]
 
+    # the w * c products the stages scored, summed in the same order, so the
+    # last winner's distance is exactly these sets' min_sum_distance
     final = tuple(scales[i] * np.exp(1j * rotations[i]) * base.sets[i] for i in range(base.nt))
     result_sets = ConstellationSets(final, base.bits_per_symbol)
+    if base.nt == 1:  # no stage ran
+        best_val = min_sum_distance(result_sets)
     return OptimizationResult(sets=result_sets, scales=scales, rotations=rotations,
-                              min_sum_distance=min_sum_distance(result_sets))
+                              min_sum_distance=best_val)
 
 
 def _all_pairs_minima(prefix: np.ndarray, c: np.ndarray, ws: list) -> np.ndarray:
@@ -425,18 +422,17 @@ def _all_pairs_minima(prefix: np.ndarray, c: np.ndarray, ws: list) -> np.ndarray
     return np.concatenate(out)
 
 
-def _candidate_min(prefix: np.ndarray, wc: np.ndarray, stop: float) -> float:
+def _candidate_min(prefix: np.ndarray, wc: np.ndarray, bar: float) -> float:
     """Minimum pairwise distance of the sums prefix + wc, in lexicographic
-    order, with _min_pairwise's `stop` contract: exact above `stop`, else a
-    pair distance <= stop. A large stage first scores its leading
-    _SUBSET_SUMS sums: a subset is never closer-spaced than the whole, so a
-    pair at most `stop` apart among them settles the candidate."""
+    order: exact above `bar`, else some value <= bar. A large stage first
+    scores its leading _SUBSET_SUMS sums: a subset is never closer-spaced
+    than the whole, so a subset minimum at most `bar` settles the candidate."""
     if prefix.size * wc.size > _SUBSET_SUMS:
         rows = max(1, _SUBSET_SUMS // wc.size)
-        d, _, _ = _min_pairwise((prefix[:rows, None] + wc[None, :]).ravel(), stop)
-        if d <= stop:
+        d, _, _ = _min_pairwise((prefix[:rows, None] + wc[None, :]).ravel())
+        if d <= bar:
             return d
-    d, _, _ = _min_pairwise((prefix[:, None] + wc[None, :]).ravel(), stop)
+    d, _, _ = _min_pairwise((prefix[:, None] + wc[None, :]).ravel())
     return d
 
 

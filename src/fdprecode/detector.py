@@ -112,10 +112,6 @@ class FastMLDecoder:
         self._offsets = (dx * ny + dy).ravel()
         self._bound = r * c * (1.0 - 1e-9)
 
-    def decode(self, y: np.ndarray, h_eff: np.ndarray) -> int:
-        return int(self.decode_batch(np.asarray(y, dtype=complex)[None, :],
-                                     np.asarray(h_eff, dtype=complex)[None, :])[0])
-
     def decode_batch(self, y: np.ndarray, h_eff: np.ndarray) -> np.ndarray:
         """Vectorized decode of (B, nr) receptions against (B, nr) effective channels."""
         s_mf = np.sum(h_eff.conj() * y, axis=1) / np.sum(np.abs(h_eff) ** 2, axis=1)

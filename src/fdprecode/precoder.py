@@ -73,23 +73,3 @@ def per_antenna_phase_residuals(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
         cols = pair_columns(n)
         out[n] = np.sum(rho[0, cols] * np.cos(theta[:n] - theta[n] + alpha[0, cols]))
     return out
-
-
-def phase_condition_residual(h: np.ndarray, theta: np.ndarray) -> float:
-    """Total cross-term cosine sum; ~0 iff the precoder cancels all cross terms."""
-    return float(np.sum(per_antenna_phase_residuals(h, theta)))
-
-
-def effective_channel(h: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Scalar-input channel h_eff = H a seen by the effective symbol sum(x).
-
-    For a built from feedback angles of the same H, ||h_eff||^2 equals
-    ||H||_F^2, which is exactly the full-diversity distance identity.
-    """
-    return np.asarray(h, dtype=complex) @ np.asarray(a, dtype=complex)
-
-
-def angles_for_channel(h: np.ndarray) -> np.ndarray:
-    """Convenience: feedback angles in (-pi, pi] straight from a channel matrix."""
-    return np.angle(feedback_angles_batch(np.asarray(h)[None])[0][0])
-

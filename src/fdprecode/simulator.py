@@ -74,6 +74,14 @@ class SimConfig:
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ConfigurationError(f"snr_grid_db must be strictly increasing, got {grid}")
         object.__setattr__(self, "snr_grid_db", grid)
+        for s in grid:
+            try:
+                ok = 0.0 < self.sigma2(s) < math.inf
+            except (OverflowError, ZeroDivisionError):
+                ok = False
+            if not ok:
+                raise ConfigurationError(
+                    f"snr_grid_db point {s:g} dB gives a noise variance that is not finite and positive")
         if self.trials_per_point < 1:
             raise ConfigurationError(f"trials_per_point must be >= 1, got {self.trials_per_point}")
         if self.scheme not in SCHEMES:
@@ -88,6 +96,12 @@ class SimConfig:
     @property
     def bits_per_symbol(self) -> int:
         return self.constellation.bits_per_symbol
+
+    def sigma2(self, snr_db: float) -> float:
+        """Noise variance per receive antenna at `snr_db` (see the module notes)."""
+        gamma = 10.0 ** (snr_db / 10.0)
+        scale = self.nt if self.scheme == "proposed" else 1.0
+        return scale * average_energy(self.constellation) / gamma
 
 
 @dataclass(frozen=True)
@@ -124,7 +138,6 @@ class _Engine:
         self.cfg = cfg
         cs = cfg.constellation
         self.m = 1 << cs.bits_per_symbol  # points per antenna set
-        self.es = average_energy(cs)
         nt, nr = cfg.nt, cfg.nr
         self.n_h = 2 * nr * nt
         self.words_per_trial = self.n_h + nt + 2 * nr
@@ -136,11 +149,6 @@ class _Engine:
             self.symbols = codeword_matrix(
                 cs, "the unprecoded_vblast baseline decodes exhaustively; use --scheme proposed")
             self.decoder = None
-
-    def sigma2(self, snr_db: float) -> float:
-        gamma = 10.0 ** (snr_db / 10.0)
-        scale = self.cfg.nt if self.cfg.scheme == "proposed" else 1.0
-        return scale * self.es / gamma
 
     def run_batch(self, point_idx: int, sigma2: float, first: int, count: int) -> int:
         cfg = self.cfg
@@ -202,7 +210,7 @@ def run_cer_sweep(cfg: SimConfig, threads: int = 1) -> CerCurve:
     errors = np.zeros(len(cfg.snr_grid_db), dtype=np.int64)
     with _pool(threads) as pool:
         for k, snr_db in enumerate(cfg.snr_grid_db):
-            sigma2 = engine.sigma2(snr_db)
+            sigma2 = cfg.sigma2(snr_db)
             run = functools.partial(engine.run_batch, k, sigma2)
             for done, counts in _groups(run, cfg.trials_per_point, pool):
                 trials[k] = done

@@ -341,6 +341,7 @@ def test_criterion_7_optimizer_recovery():
     assert abs(result.rotations[2] - np.pi / 4) <= phi_step + 1e-12
     # lone third-set differences move by 2 * b_step per scale step
     assert result.min_sum_distance >= 1.35 - 2 * b_step
+    assert result.min_sum_distance == min_sum_distance(result.sets)
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     report(7, f"optimizer recovery (b, phi) = ({result.scales[2]:.3f}, "
               f"{result.rotations[2]:.4f}) in {elapsed:.1f}s")

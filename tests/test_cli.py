@@ -323,6 +323,8 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
     (["simulate", "--snr", "10"], "preset = 3x1\ntrials = abc\n", "trials"),
     (["simulate"], '{"config": {"preset": "3x1", ', "run.cfg"),
     (SIM + ["--snr", "nan"], None, "snr"),
+    (SIM + ["--snr", "4000"], None, "snr"),
+    (SIM + ["--snr", "-4000"], None, "snr"),
     (["simulate", "--trials", "64"], "preset = 3x1\nsnr = 10\ntrails = 99\n", "trails"),
     (SIM + ["--snr", "10", "--seed", "-1"], None, "seed"),
     (SIM + ["--snr", "10", "--seed", str(1 << 128)], None, "seed"),
@@ -342,7 +344,8 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
     (["check-constellation", "3x1", "--preset", "4x1"], None, "preset"),
     (["check-constellation", "nofile.txt", "--preset", "3x2"], None, "preset"),
     (["check-constellation", "3x1"], "constellation_file = nofile.txt\n", "preset"),
-], ids=["empty-snr-item", "trials-abc", "truncated-manifest", "snr-nan", "unknown-key",
+], ids=["empty-snr-item", "trials-abc", "truncated-manifest", "snr-nan", "snr-huge",
+        "snr-tiny", "unknown-key",
         "negative-seed", "wide-seed", "old-optimize-manifest", "tol-negative", "tol-nan",
         "budget-nan", "budget-inf", "b-step-tiny", "phi-step-tiny", "bins-huge",
         "count-huge", "dmin-negative-seed", "dmin-wide-seed", "dmin-nr-zero", "dmin-scheme-baseline",

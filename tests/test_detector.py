@@ -17,16 +17,15 @@ from fdprecode.detector import (
     ml_decode_bruteforce,
 )
 from fdprecode.errors import ConfigurationError, EnumerationBudgetError
-from fdprecode.precoder import angles_for_channel, effective_channel
+from fdprecode.precoder import feedback_angles_batch
 
 from draws import channels
 
 
 def links(seed, count, nr, nt):
-    """(h, a, h_eff) for `count` channels at point 0 of `seed`."""
-    for h in channels(seed, 0, count, nr, nt):
-        a = np.exp(1j * angles_for_channel(h))
-        yield h, a, effective_channel(h, a)
+    """(h, a, h_eff) batches for `count` channels at point 0 of `seed`."""
+    h = channels(seed, 0, count, nr, nt)
+    return (h, *feedback_angles_batch(h))
 
 
 def test_codeword_matrix_order_matches_product():
@@ -41,7 +40,7 @@ def test_bruteforce_noiseless_exact():
     for nt, bits in [(3, 1), (4, 2)]:
         cs = preset(nt, bits)
         x = codeword_matrix(cs)
-        for h, a, _ in links(60, 50, 1, nt):
+        for h, a, _ in zip(*links(60, 50, 1, nt)):
             k = int(rng.integers(x.shape[0]))
             y = h @ (np.repeat(a[:, None], nt, axis=1) @ x[k])
             assert ml_decode_bruteforce(y, h, a, cs) == k
@@ -52,11 +51,10 @@ def test_fast_noiseless_exact():
     for nt, bits in [(3, 1), (4, 2), (8, 1)]:
         cs = preset(nt, bits)
         sc = sum_constellation(cs)
-        dec = FastMLDecoder(sc)
-        for _, _, he in links(61, 50, 2, nt):
-            k = int(rng.integers(sc.size))
-            y = he * sc[k]
-            assert dec.decode(y, he) == k
+        _, _, he = links(61, 50, 2, nt)
+        k = rng.integers(sc.size, size=50)
+        y = he * sc[k, None]
+        assert np.array_equal(FastMLDecoder(sc).decode_batch(y, he), k)
 
 
 def test_decoders_agree_on_noisy_trials():
@@ -64,13 +62,15 @@ def test_decoders_agree_on_noisy_trials():
     for nt, bits, sigma in [(3, 1, 0.6), (4, 2, 0.3)]:
         cs = preset(nt, bits)
         sc = sum_constellation(cs)
-        dec = FastMLDecoder(sc)
         x = codeword_matrix(cs)
-        for h, a, he in links(62, 1000, 1, nt):
+        h, a, he = links(62, 1000, 1, nt)
+        ys = []
+        for b in range(h.shape[0]):
             k = int(rng.integers(x.shape[0]))
             noise = (rng.standard_normal(1) + 1j * rng.standard_normal(1)) * sigma
-            y = he * sc[k] + noise
-            assert ml_decode_bruteforce(y, h, a, cs) == dec.decode(y, he)
+            ys.append(he[b] * sc[k] + noise)
+        fast = FastMLDecoder(sc).decode_batch(np.array(ys), he)
+        assert [ml_decode_bruteforce(*args, cs) for args in zip(ys, h, a)] == list(fast)
 
 
 def test_tie_break_smallest_index():
@@ -80,13 +80,13 @@ def test_tie_break_smallest_index():
     sc = sum_constellation(cs)
     h = np.ones((1, 4), dtype=complex)
     a = np.ones(4, dtype=complex)
-    he = effective_channel(h, a)
+    he = h @ a
     y = np.zeros(1, dtype=complex)
     metrics = np.abs(sc * he[0]) ** 2
     minimizers = np.nonzero(metrics == metrics.min())[0]
     assert minimizers.size > 1
     assert ml_decode_bruteforce(y, h, a, cs) == minimizers[0]
-    assert FastMLDecoder(sc).decode(y, he) == minimizers[0]
+    assert FastMLDecoder(sc).decode_batch(y[None], he[None])[0] == minimizers[0]
 
 
 def test_scale_equivariance():
@@ -95,10 +95,10 @@ def test_scale_equivariance():
     sc = sum_constellation(cs)
     dec = FastMLDecoder(sc)
     c = 0.37 - 1.2j
-    for _, _, he in links(63, 200, 2, 3):
-        k = int(rng.integers(sc.size))
-        y = he * sc[k] + 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-        assert dec.decode(y, he) == dec.decode(c * y, c * he)
+    _, _, he = links(63, 200, 2, 3)
+    y = np.array([row * sc[rng.integers(sc.size)]
+                  + 0.5 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)) for row in he])
+    assert np.array_equal(dec.decode_batch(y, he), dec.decode_batch(c * y, c * he))
 
 
 def test_bruteforce_budget_error_points_to_fast_path():
@@ -162,13 +162,12 @@ def test_decode_batch_matches_scalar_decode():
     cs = preset(4, 1)
     sc = sum_constellation(cs)
     dec = FastMLDecoder(sc)
-    ys, hes = [], []
-    for _, _, he in links(64, 64, 2, 4):
-        k = int(rng.integers(sc.size))
-        ys.append(he * sc[k] + 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)))
-        hes.append(he)
-    batch = dec.decode_batch(np.array(ys), np.array(hes))
-    singles = [dec.decode(y, he) for y, he in zip(ys, hes)]
+    _, _, he = links(64, 64, 2, 4)
+    y = np.array([row * sc[rng.integers(sc.size)]
+                  + 0.3 * (rng.standard_normal(2) + 1j * rng.standard_normal(2)) for row in he])
+    batch = dec.decode_batch(y, he)
+    # each row decoded alone, as a batch of one
+    singles = [dec.decode_batch(y[b:b + 1], he[b:b + 1])[0] for b in range(y.shape[0])]
     assert np.array_equal(batch, singles)
 
 
@@ -249,11 +248,11 @@ def test_grid_tie_break_smallest_index(sign):
     assert FastMLDecoder(sc)._grid is not None
     h = np.ones((1, 8), dtype=complex)
     a = np.ones(8, dtype=complex)
-    he = effective_channel(h, a)
+    he = h @ a
     y = np.zeros(1, dtype=complex)
     metrics = np.abs(sc * he[0]) ** 2
     minimizers = np.nonzero(metrics == metrics.min())[0]
     assert minimizers.size > 1
     assert np.abs(sc[minimizers[0]]) < 0.25  # inside the certified radius d_min
     assert ml_decode_bruteforce(y, h, a, cs) == minimizers[0]
-    assert FastMLDecoder(sc).decode(y, he) == minimizers[0]
+    assert FastMLDecoder(sc).decode_batch(y[None], he[None])[0] == minimizers[0]

@@ -5,14 +5,7 @@ from hypothesis import strategies as st
 
 from fdprecode.channel import gram_polar
 from fdprecode.errors import ConfigurationError
-from fdprecode.precoder import (
-    angles_for_channel,
-    effective_channel,
-    feedback_angles_batch,
-    per_antenna_phase_residuals,
-    phase_condition_residual,
-    precoder_matrix,
-)
+from fdprecode.precoder import feedback_angles_batch, per_antenna_phase_residuals, precoder_matrix
 
 from draws import channels
 
@@ -24,7 +17,8 @@ def frob2(h):
 
 
 def test_angles_hand_case_real():
-    theta = angles_for_channel(np.array([[1.0, 1.0]]))
+    a, _ = feedback_angles_batch(np.array([[[1.0, 1.0]]]))
+    theta = np.angle(a[0])
     assert theta[0] == 0.0
     assert theta[1] == pytest.approx(-np.pi / 2, abs=1e-15)
 
@@ -47,7 +41,6 @@ def test_single_channel_angles_equal_batch_rows(nt, nr):
         row_a, row_h_eff = feedback_angles_batch(h[b:b + 1])
         assert np.array_equal(row_a[0], a[b])
         assert np.array_equal(row_h_eff[0], h_eff[b])
-        assert np.array_equal(angles_for_channel(h[b]), np.angle(a[b]))
 
 
 KERNEL_CONFIGS = [(2, 1), (3, 2), (4, 4), (8, 1), (8, 2), (16, 1)]
@@ -68,7 +61,7 @@ def test_kernel_h_eff_is_h_times_a(nt, nr):
     assert h_eff.shape == (4096, nr)
     fro = np.sqrt(np.sum(np.abs(h) ** 2, axis=(1, 2)))
     for b in range(h.shape[0]):
-        assert np.max(np.abs(h_eff[b] - effective_channel(h[b], a[b]))) <= 1e-12 * fro[b]
+        assert np.max(np.abs(h_eff[b] - h[b] @ a[b])) <= 1e-12 * fro[b]
 
 
 def test_kernel_degenerate_columns_give_unit_phasor():
@@ -94,38 +87,39 @@ def test_kernel_rejects_bad_shapes():
 
 def test_angles_require_two_antennas():
     with pytest.raises(ConfigurationError):
-        angles_for_channel(np.array([[1.0]]))
+        feedback_angles_batch(np.array([[[1.0]]]))
 
 
 def test_first_angle_zero_and_payload_size():
     for nt, nr in CONFIGS:
-        theta = angles_for_channel(channels(5, nt << 16 | nr, 1, nr, nt)[0])
-        assert theta.shape == (nt,)
-        assert theta[0] == 0.0  # the feedback payload is theta[1:], nt - 1 reals
+        a, _ = feedback_angles_batch(channels(5, nt << 16 | nr, 1, nr, nt))
+        assert a.shape == (1, nt)
+        assert np.angle(a[0, 0]) == 0.0  # the feedback payload is theta[1:], nt - 1 reals
 
 
 def test_phase_condition_residual_random():
-    h = channels(11, 0, 1, 2, 3)[0]
-    theta = angles_for_channel(h)
-    assert abs(phase_condition_residual(h, theta)) < 1e-12 * frob2(h)
+    # the total cross-term cosine sum vanishes: the precoder cancels every cross term
+    h = channels(11, 0, 1, 2, 3)
+    a, _ = feedback_angles_batch(h)
+    assert abs(np.sum(per_antenna_phase_residuals(h[0], np.angle(a[0])))) < 1e-12 * frob2(h)
 
 
 def test_per_antenna_residuals_random():
     for nt, nr in CONFIGS:
         for seed in range(10):
-            h = channels(seed, nt << 16 | nr, 1, nr, nt)[0]
-            theta = angles_for_channel(h)
-            res = per_antenna_phase_residuals(h, theta)
+            h = channels(seed, nt << 16 | nr, 1, nr, nt)
+            a, _ = feedback_angles_batch(h)
+            res = per_antenna_phase_residuals(h[0], np.angle(a[0]))
             assert np.max(np.abs(res)) < 1e-9 * frob2(h)
 
 
 def test_residual_hand_cases():
     # all-zero angles leave the single cross term at cos(0) = 1
     h = np.array([[1.0, 1.0]])
-    assert phase_condition_residual(h, np.zeros(2)) == pytest.approx(1.0, abs=1e-15)
+    assert per_antenna_phase_residuals(h, np.zeros(2)) == pytest.approx([0.0, 1.0], abs=1e-15)
     # orthogonal columns: every rho vanishes, any angles give zero
     h = np.eye(2, dtype=complex)
-    assert phase_condition_residual(h, np.array([0.3, -1.2])) == 0.0
+    assert np.all(per_antenna_phase_residuals(h, np.array([0.3, -1.2])) == 0.0)
 
 
 def test_precoder_matrix_rank_one_action():
@@ -144,26 +138,27 @@ def test_all_zero_angles_give_all_ones_action():
 
 
 def test_effective_channel_hand_case():
-    he = effective_channel(np.array([[1.0, 1.0]]), np.array([1.0, -1.0j]))
-    assert he[0] == pytest.approx(1.0 - 1.0j, abs=1e-15)
-    assert abs(he[0]) ** 2 == pytest.approx(2.0, abs=1e-14)
+    a, he = feedback_angles_batch(np.array([[[1.0, 1.0]]]))
+    assert np.array_equal(a[0], [1.0, -1.0j])
+    assert he[0, 0] == pytest.approx(1.0 - 1.0j, abs=1e-15)
+    assert abs(he[0, 0]) ** 2 == pytest.approx(2.0, abs=1e-14)
 
 
 def test_norm_identity_all_configs():
     for nt, nr in CONFIGS:
-        for seed in range(250):
-            h = channels(seed, (10 * nt + nr) << 16, 1, nr, nt)[0]
-            he = effective_channel(h, np.exp(1j * angles_for_channel(h)))
-            f2 = frob2(h)
-            assert abs(np.sum(np.abs(he) ** 2) - f2) < 1e-9 * f2
+        h = np.concatenate([channels(seed, (10 * nt + nr) << 16, 1, nr, nt) for seed in range(250)])
+        _, he = feedback_angles_batch(h)
+        f2 = np.sum(np.abs(h) ** 2, axis=(1, 2))
+        assert np.all(np.abs(np.sum(np.abs(he) ** 2, axis=1) - f2) < 1e-9 * f2)
 
 
 def test_distance_identity_against_bruteforce():
     # oracle: full ||H F dx||^2 with F materialized, vs ||H||_F^2 |sum dx|^2
     rng = np.random.default_rng([123, 0, 0])
     for nt, nr in CONFIGS:
-        for h in channels(123, 0, 250, nr, nt):
-            f = precoder_matrix(np.exp(1j * angles_for_channel(h)))
+        hs = channels(123, 0, 250, nr, nt)
+        for h, a in zip(hs, feedback_angles_batch(hs)[0]):
+            f = precoder_matrix(a)
             dx = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
             lhs = float(np.sum(np.abs(h @ (f @ dx)) ** 2))
             rhs = frob2(h) * abs(np.sum(dx)) ** 2
@@ -175,7 +170,7 @@ def test_identity_fails_without_feedback():
     violations = 0
     for seed in range(50):
         h = channels(seed, 999 << 16, 1, 1, 3)[0]
-        he = effective_channel(h, np.exp(1j * np.zeros(3)))
+        he = h @ np.ones(3)
         f2 = frob2(h)
         if abs(np.sum(np.abs(he) ** 2) - f2) > 1e-3 * f2:
             violations += 1
@@ -185,20 +180,22 @@ def test_identity_fails_without_feedback():
 def test_branch_insensitivity():
     # either atan2 root zeroes that antenna's inner sum
     for seed in range(20):
-        h = channels(seed, 12345 << 16, 1, 2, 5)[0]
-        theta = angles_for_channel(h)
+        h = channels(seed, 12345 << 16, 1, 2, 5)
+        a, _ = feedback_angles_batch(h)
+        theta = np.angle(a[0])
         f2 = frob2(h)
         for n in range(1, 5):
             flipped = theta.copy()
             flipped[n] += np.pi
-            assert abs(per_antenna_phase_residuals(h, flipped)[n]) < 1e-9 * f2
+            assert abs(per_antenna_phase_residuals(h[0], flipped)[n]) < 1e-9 * f2
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31 - 1), st.floats(-10, 10, allow_nan=False))
 def test_global_phase_invariance(seed, shift):
-    h = channels(seed, 0, 1, 2, 4)[0]
-    theta = angles_for_channel(h)
-    p1 = np.sum(np.abs(effective_channel(h, np.exp(1j * theta))) ** 2)
-    p2 = np.sum(np.abs(effective_channel(h, np.exp(1j * (theta + shift)))) ** 2)
+    h = channels(seed, 0, 1, 2, 4)
+    a, _ = feedback_angles_batch(h)
+    theta = np.angle(a[0])
+    p1 = np.sum(np.abs(h[0] @ np.exp(1j * theta)) ** 2)
+    p2 = np.sum(np.abs(h[0] @ np.exp(1j * (theta + shift))) ** 2)
     assert p2 == pytest.approx(p1, rel=1e-12)

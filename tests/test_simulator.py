@@ -53,6 +53,10 @@ def test_config_validation():
                  (-float("inf"), 0.0)):
         with pytest.raises(ConfigurationError, match="finite"):
             small_config(snr_grid_db=grid)
+    # finite SNRs whose noise variance would be 0 or inf
+    for grid in ((4000.0,), (-4000.0,), (0.0, 3100.0), (-3090.0,)):
+        with pytest.raises(ConfigurationError, match="snr"):
+            small_config(snr_grid_db=grid)
     # streams masks the key to 128 bits, so these would alias (1 << 128) - 1 and 0
     for seed in (-1, 1 << 128):
         with pytest.raises(ConfigurationError, match="seed"):
