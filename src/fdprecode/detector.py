@@ -1,7 +1,7 @@
 """Exact maximum-likelihood detection for the precoded system.
 
-Two equivalent paths: an exhaustive search over the full codebook (the
-oracle, cost O(N * nt * nr) per decode; the same batched search decodes the
+Two equivalent paths: an exhaustive search over the full codebook (the oracle,
+in real arithmetic with no BLAS call; the same batched search decodes the
 unprecoded V-BLAST baseline) and a fast decoder over the sum constellation.
 Because F x = a * sum(x), the metric ||y - H F x||^2 depends on x only
 through s = sum(x), so the fast path is a nearest-point search for the
@@ -40,18 +40,29 @@ def codeword_matrix(cs: ConstellationSets,
 
 def exhaustive_decode_batch(y: np.ndarray, transfer: np.ndarray,
                             codewords: np.ndarray) -> np.ndarray:
-    """argmin_k ||y_b - transfer_b @ x_k||^2 for every row b.
+    """argmin_k ||y_b - transfer_b @ x_k||^2 for every row b, ties to the smallest k.
 
-    y is (B, nr), transfer (B, nr, nt) and codewords (N, nt); chunked so the
-    (chunk, N, nr) candidate table stays near 32 MB.
+    y is (B, nr), transfer (B, nr, nt), codewords (N, nt). Real arithmetic, no BLAS:
+    per receive antenna o, Re and Im of transfer[o, n] * x_k[n] come off y_o in
+    antenna order n; dr * dr + di * di is summed over o. A prefix x_k[:n + 1] that
+    codewords share is computed once, in (prefixes, rows) planes of at most
+    max(N, 2**15) elements, so each codeword's roundings are its own sequence's.
     """
-    n = codewords.shape[0]
-    out = np.empty(y.shape[0], dtype=np.int64)
-    chunk = max(1, (1 << 21) // (n * y.shape[1]))
-    for lo in range(0, y.shape[0], chunk):
-        cand = np.einsum("kn,bon->bko", codewords, transfer[lo:lo + chunk])
-        metrics = np.sum(np.abs(y[lo:lo + chunk, None, :] - cand) ** 2, axis=2)
-        out[lo:lo + chunk] = np.argmin(metrics, axis=1)
+    inv, levels = np.zeros(len(codewords), dtype=np.int64), []
+    for col in codewords.T:  # per antenna n, the distinct prefixes x_k[:n + 1] by (parent, value)
+        u, vi = np.unique(col, return_inverse=True)
+        keys, inv = np.unique(inv * u.size + vi, return_inverse=True)
+        levels.append((u.real[:, None], u.imag[:, None], keys // u.size, keys % u.size))
+    out, step = np.empty(len(y), dtype=np.int64), max(1, (1 << 15) // len(codewords))
+    for lo in range(0, len(y), step):
+        yc, t, metric = y[lo:lo + step], transfer[lo:lo + step], 0.0
+        for o in range(y.shape[1]):
+            dr, di = yc[None, :, o].real, yc[None, :, o].imag
+            for (ur, ui, parent, val), tn in zip(levels, t[:, o, :].T):
+                dr = np.take(dr, parent, axis=0) - np.take(ur * tn.real - ui * tn.imag, val, axis=0)
+                di = np.take(di, parent, axis=0) - np.take(ui * tn.real + ur * tn.imag, val, axis=0)
+            metric = metric + (dr * dr + di * di)
+        out[lo:lo + step] = np.argmin(np.take(metric, inv, axis=0), axis=0)
     return out
 
 

@@ -40,12 +40,15 @@ _GROUP_BATCHES = 4      # stopping-rule granularity, fixed so thread count is ir
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _MAX_COUNT = 1 << 24    # d^2_min samples held at once for the sort and KS test (128 MB)
 _KS_CHUNK = 1 << 20     # sorted samples per KS step, bounding its temporaries to a few MB
+_MAX_WORDS = 1 << 10    # uniforms per trial, so one batch's draw table stays within 256 MB
 
 
-def _check_run(nt: int, nr: int, seed: int) -> None:
-    """Check the antenna counts and the seed that CER sweeps and d^2_min sampling share."""
+def _check_run(nt: int, nr: int, seed: int, words: int) -> None:
+    """Check antenna counts, seed and draw table size (`words` uniforms per trial)."""
     if nt < 1 or nr < 1:
         raise ConfigurationError(f"antenna counts must be >= 1, got nt={nt}, nr={nr}")
+    if words > _MAX_WORDS:
+        raise ConfigurationError(f"nr={nr}, nt={nt}: {words} draws per trial, over {_MAX_WORDS}")
     # streams keys Philox with seed & (2**128 - 1): a wider seed would alias another
     if not 0 <= seed < 1 << 128:
         raise ConfigurationError(f"seed must be in [0, 2**128), got {seed}")
@@ -65,7 +68,7 @@ class SimConfig:
     noiseless: bool = False
 
     def __post_init__(self):
-        _check_run(self.nt, self.nr, self.seed)
+        _check_run(self.nt, self.nr, self.seed, self.words_per_trial)
         grid = tuple(float(s) for s in self.snr_grid_db)
         if len(grid) == 0:
             raise ConfigurationError("snr_grid_db must not be empty")
@@ -92,6 +95,10 @@ class SimConfig:
     @property
     def nt(self) -> int:
         return self.constellation.nt
+
+    @property
+    def words_per_trial(self) -> int:
+        return 2 * self.nr * self.nt + self.nt + 2 * self.nr  # channel, codeword, noise
 
     @property
     def bits_per_symbol(self) -> int:
@@ -136,25 +143,22 @@ class _Engine:
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
-        cs = cfg.constellation
-        self.m = 1 << cs.bits_per_symbol  # points per antenna set
-        nt, nr = cfg.nt, cfg.nr
-        self.n_h = 2 * nr * nt
-        self.words_per_trial = self.n_h + nt + 2 * nr
+        self.m = 1 << cfg.bits_per_symbol  # points per antenna set
+        self.n_h = 2 * cfg.nr * cfg.nt
         if cfg.scheme == "proposed":
-            self.symbols = sum_constellation(cs)
+            self.symbols = sum_constellation(cfg.constellation)
             self.decoder = FastMLDecoder(self.symbols)
         else:
             # the baseline has no sum-constellation decoder to fall back on
-            self.symbols = codeword_matrix(
-                cs, "the unprecoded_vblast baseline decodes exhaustively; use --scheme proposed")
+            self.symbols = codeword_matrix(cfg.constellation, "the unprecoded_vblast baseline "
+                                           "decodes exhaustively; use --scheme proposed")
             self.decoder = None
 
     def run_batch(self, point_idx: int, sigma2: float, first: int, count: int) -> int:
         cfg = self.cfg
         nt, nr = cfg.nt, cfg.nr
         u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_CER, point_idx, first, count,
-                                   self.words_per_trial)
+                                   cfg.words_per_trial)
         h = rayleigh(streams.normal_from_uniform(u[:, :self.n_h]), nr, nt)
         cw = np.minimum((u[:, self.n_h:self.n_h + nt] * self.m).astype(np.int64), self.m - 1)
         if cfg.noiseless:
@@ -230,7 +234,7 @@ def sample_dmin_pdf(nt: int, nr: int, seed: int, count: int, threads: int = 1) -
     so z equals 2 d^2_min / min_sum_distance^2; the factor 2 makes z exactly
     chi-square with 2 * nt * nr degrees of freedom under CN(0, 1) entries.
     """
-    _check_run(nt, nr, seed)
+    _check_run(nt, nr, seed, 2 * nr * nt)
     if not 1 <= count <= _MAX_COUNT:
         raise ConfigurationError(f"count must lie in [1, {_MAX_COUNT}], got {count}")
 

@@ -341,6 +341,9 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
     (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--seed", str(1 << 128)], None, "seed"),
     (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--nr", "0"], None, "nr"),
     (["dmin-pdf", "--preset", "3x1", "--count", "1000"], "scheme = unprecoded_vblast\n", "scheme"),
+    (["simulate", "--preset", "3x1", "--nr", "10000000", "--snr", "10", "--trials", "1000"],
+     None, "nr"),
+    (["dmin-pdf", "--preset", "3x1", "--nr", "10000000", "--count", "1000"], None, "nr"),
     (["check-constellation", "3x1", "--preset", "4x1"], None, "preset"),
     (["check-constellation", "nofile.txt", "--preset", "3x2"], None, "preset"),
     (["check-constellation", "3x1"], "constellation_file = nofile.txt\n", "preset"),
@@ -349,6 +352,7 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
         "negative-seed", "wide-seed", "old-optimize-manifest", "tol-negative", "tol-nan",
         "budget-nan", "budget-inf", "b-step-tiny", "phi-step-tiny", "bins-huge",
         "count-huge", "dmin-negative-seed", "dmin-wide-seed", "dmin-nr-zero", "dmin-scheme-baseline",
+        "nr-huge", "dmin-nr-huge",
         "check-target-and-preset", "check-file-target-and-preset", "check-target-and-config-file"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, config, key):
     written = []

@@ -134,6 +134,66 @@ def test_exhaustive_decode_batch_is_the_unprecoded_ml_decoder(nr):
             assert tied.size >= 2 and got[0] == tied[0]
 
 
+def _norm_oracle(y, transfer, codewords):
+    # per row, ||y_b - transfer_b x_k|| for every k by np.linalg.norm; first minimum
+    cand = np.einsum("bon,kn->bko", transfer, codewords)
+    return np.argmin(np.linalg.norm(y[:, None, :] - cand, axis=2), axis=1)
+
+
+@pytest.mark.parametrize("kind", ["qam", "bpsk"])
+@pytest.mark.parametrize("nr", [1, 2, 3, 4])
+@pytest.mark.parametrize("nt", [2, 3, 4])
+def test_exhaustive_decode_batch_matches_norm_oracle(nt, nr, kind):
+    # complex 4-QAM or real BPSK on every antenna; rows are chunked
+    # 2**15 // N at a time, so 2 chunks + 1 row end one row into a third.
+    # transfer and y are strided views, not contiguous arrays
+    points = qam_points(4) if kind == "qam" else np.array([-1.0, 1.0])
+    x = codeword_matrix(ConstellationSets((points,) * nt, 2 if kind == "qam" else 1))
+    rows = 2 * ((1 << 15) // x.shape[0]) + 1
+    rng = np.random.default_rng([68, nt, nr, kind == "qam"])
+    buf = rng.standard_normal((rows, nt, 2 * nr)) + 1j * rng.standard_normal((rows, nt, 2 * nr))
+    transfer = buf[:, :, ::2].transpose(0, 2, 1)
+    k = rng.integers(x.shape[0], size=rows)
+    ybuf = np.empty((rows, 2 * nr), dtype=complex)
+    ybuf[:, 1::2] = np.einsum("bon,bn->bo", transfer, x[k]) + rng.standard_normal((rows, nr))
+    y = ybuf[:, 1::2]
+    assert not (transfer.flags.c_contiguous or y.flags.c_contiguous)
+    got = exhaustive_decode_batch(y, transfer, x)
+    assert np.array_equal(got, _norm_oracle(y, transfer, x))
+    assert np.count_nonzero(got != k) > 0  # the noise makes errors
+
+
+def test_exhaustive_decode_batch_tie_at_three_antennas():
+    # nt = 3 with columns 0 and 2 of the transfer equal: codewords (p, q, r)
+    # and (r, q, p) score alike. Small integers and halves keep every metric
+    # exact, so the tie is exact and goes to the smaller index
+    q4 = qam_points(4)
+    x = codeword_matrix(ConstellationSets((q4, q4, q4), 2))
+    transfer = np.array([[[2 - 1j, 1 + 3j, 2 - 1j], [-1 + 1j, 2 + 0j, -1 + 1j]]] * 3)
+    y = x[[6, 27, 57]] @ transfer[0].T + np.array([[0.5, -0.5j], [0.5 + 0.5j, 0.0], [1.5, 1.5]])
+    got = exhaustive_decode_batch(y, transfer, x)
+    for b in range(3):
+        metric = np.linalg.norm(y[b] - x @ transfer[b].T, axis=1)
+        tied = np.nonzero(metric == metric.min())[0]
+        assert tied.size >= 2 and got[b] == tied[0]
+
+
+def test_exhaustive_decode_batch_memory_is_bounded():
+    # 65536 codewords (the 8x2 preset) at nr = 2: the einsum candidate table
+    # this replaced peaked at 88 MB on 256 rows
+    import tracemalloc
+    x = codeword_matrix(preset(8, 2))
+    h = channels(69, 0, 256, 2, 8)
+    y = h[:, :, 0] * 0.5
+    tracemalloc.start()
+    try:
+        exhaustive_decode_batch(y, h, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20, f"{peak / 2**20:.1f} MB"
+
+
 def test_fast_decoder_refuses_noninjective_sums():
     cs = ConstellationSets((np.array([-1.0, 1.0]), np.array([-1.0, 1.0])), 1)
     with pytest.raises(ConfigurationError, match="not injective"):

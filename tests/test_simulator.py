@@ -63,6 +63,12 @@ def test_config_validation():
             small_config(seed=seed)
     for seed in (0, (1 << 128) - 1):
         assert small_config(seed=seed).seed == seed
+    # 3x1 draws 8 nr + 3 uniforms per trial; more than 1024 would put over
+    # 256 MB in one batch's draw table, and the check comes before any draw
+    assert small_config(nr=127).words_per_trial == 1019
+    for nr in (128, 10_000_000):
+        with pytest.raises(ConfigurationError, match=f"nr={nr}"):
+            small_config(nr=nr)
 
 
 # ----------------------------------------------------------------- CER sweep
@@ -79,6 +85,16 @@ def test_noiseless_baseline_cer_is_zero():
     cfg = small_config(trials_per_point=5000, noiseless=True,
                        scheme="unprecoded_vblast")
     assert run_cer_sweep(cfg).errors[0] == 0
+
+
+def test_baseline_error_counts_are_pinned():
+    # counts of the einsum decoder this exhaustive search replaced: any
+    # changed baseline decision changes them
+    cfg = small_config(nr=2, snr_grid_db=(9.0, 12.0, 15.0), trials_per_point=65536, seed=0,
+                       scheme="unprecoded_vblast")
+    curve = run_cer_sweep(cfg)
+    assert curve.trials.tolist() == [65536] * 3
+    assert curve.errors.tolist() == [4544, 1598, 520]
 
 
 def test_thread_count_does_not_change_counts():
@@ -168,8 +184,10 @@ def test_dmin_count_is_bounded():
 
 
 def test_dmin_checks_antennas_and_seed():
+    # a 3x1 channel is 6 nr uniforms; nr = 171 is the first over the 1024 a batch may hold
     for nt, nr, seed, key in [(0, 1, 1, "antenna"), (3, 0, 1, "antenna"),
-                              (3, 1, -1, "seed"), (3, 1, 1 << 128, "seed")]:
+                              (3, 1, -1, "seed"), (3, 1, 1 << 128, "seed"),
+                              (3, 171, 1, "nr=171"), (3, 10_000_000, 1, "nr=10000000")]:
         with pytest.raises(ConfigurationError, match=key):
             sample_dmin_pdf(nt, nr, seed, 1000)
 
