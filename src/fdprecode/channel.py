@@ -23,7 +23,16 @@ def rayleigh(normals: np.ndarray, nr: int, nt: int) -> np.ndarray:
     if normals.ndim != 2 or normals.shape[1] != 2 * k:
         raise ConfigurationError(f"need (B, {2 * k}) normals for {nr}x{nt} channels, "
                                  f"got shape {normals.shape}")
-    return (normals[:, :k] + 1j * normals[:, k:]).reshape(-1, nr, nt) / np.sqrt(2.0)
+    # numpy divides a complex by a real as a product with the reciprocal: z / sqrt(2), bit for bit
+    return scaled_complex(normals[:, :k], normals[:, k:], 1.0 / np.sqrt(2.0)).reshape(-1, nr, nt)
+
+
+def scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
+    """(re + 1j * im) * scale, bit for bit but for signed zeros, in one new array."""
+    z = np.empty(re.shape, dtype=complex)
+    np.multiply(re, scale, out=z.real)
+    np.multiply(im, scale, out=z.imag)
+    return z
 
 
 def pair_columns(n: int) -> slice:

@@ -9,12 +9,12 @@ matched-filter reduction s_mf = (h_eff^H y) / ||h_eff||^2 -- the same argmin.
 Both break ties toward the smallest codeword index.
 
 The fast path looks the nearest sum up in a uniform bucket grid of cells of
-side d_min / 2, which holds at most one sum per cell. A query is compared
-with the sums in the 5 x 5 cells around its own; the block's minimum is
-certified when it is below the block's inner radius 2 * (d_min / 2), since no
-sum outside the block can then be as close. Uncertified, off-grid and
-non-finite queries, and whole tables too small or too sparse for a grid,
-take the exhaustive argmin over all sums, so every decision equals
+side c just under d_min / sqrt(2), which holds at most one sum per cell. A
+query is compared with the sums in the 3 x 3 cells around its own; the
+block's minimum is certified when it is below c, since every sum outside the
+block is at least c away. Uncertified, off-grid and non-finite queries, and
+whole tables of at most 25 sums or too sparse for a grid, take the
+exhaustive argmin over all sums, so every decision equals
 argmin |s_mf - sums|, ties included.
 """
 
@@ -81,15 +81,17 @@ class FastMLDecoder:
     Refuses colliding sums at construction: the decision would be ambiguous.
     The minimum spacing d comes from the same exact bucket-grid closest-pair
     search the constellation checker uses (`constellation._min_pairwise`).
-    The grid's cell side is d / 2, so a cell holds at most one sum; it is
-    padded by `_RADIUS + 1` cells on every side, and empty cells hold the
-    sentinel index N, whose point lies at infinity. No grid is built for
-    tables of at most (2 * _RADIUS + 1)^2 sums, or when the grid would need
+    The grid's cell side c is d / sqrt(2) less a relative 1e-9, so a cell
+    holds at most one sum; it is padded by `_RADIUS + 1` cells on every side,
+    and empty cells hold the sentinel index N, whose point lies at infinity.
+    A 3 x 3 block minimum below c (1 - 1e-9) is certified. No grid is built
+    for tables of at most `_ARGMIN_SUMS` sums, or when the grid would need
     more than `_MAX_CELLS_PER_SUM` cells per sum; every query then takes the
     exhaustive argmin.
     """
 
-    _RADIUS = 2               # block of (2r+1)^2 cells searched around the query's cell
+    _RADIUS = 1               # block of (2r+1)^2 cells searched around the query's cell
+    _ARGMIN_SUMS = 25         # tables this small decode faster by the exhaustive argmin
     _MAX_CELLS_PER_SUM = 16   # grid size cap, in cells per sum
     _GATHER_ROWS = 4096       # queries per candidate gather, bounding its temporaries
 
@@ -103,9 +105,9 @@ class FastMLDecoder:
         self._grid = None
         r = self._RADIUS
         n = self.sums.size
-        if n <= (2 * r + 1) ** 2:
+        if n <= self._ARGMIN_SUMS:
             return
-        c = d / 2.0
+        c = d / np.sqrt(2.0) * (1.0 - 1e-9)
         x0, y0 = self.sums.real.min(), self.sums.imag.min()
         ix = np.floor((self.sums.real - x0) / c).astype(np.intp)
         iy = np.floor((self.sums.imag - y0) / c).astype(np.intp)
@@ -120,7 +122,7 @@ class FastMLDecoder:
         self._points = np.append(self.sums, complex(np.inf, np.inf))
         self._frame = (x0, y0, c, pad, nx, ny)
         dx, dy = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
-        self._offsets = (dx * ny + dy).ravel()
+        self._offsets = (dx * ny + dy).reshape(-1, 1)
         self._bound = r * c * (1.0 - 1e-9)
 
     def decode_batch(self, y: np.ndarray, h_eff: np.ndarray) -> np.ndarray:
@@ -147,11 +149,11 @@ class FastMLDecoder:
         # non-finite cells, NaN included, fail the range test and fall back
         rows = np.nonzero((fx >= r) & (fx < nx - r) & (fy >= r) & (fy < ny - r))[0]
         cell = fx[rows].astype(np.intp) * ny + fy[rows].astype(np.intp)
-        cand = self._grid[cell[:, None] + self._offsets[None, :]]
-        dist = np.abs(q[rows, None] - self._points[cand])
-        best = dist.min(axis=1)
+        cand = self._grid[self._offsets + cell]  # (block cells, queries): mins run along long rows
+        dist = np.abs(q[rows] - self._points[cand])
+        best = dist.min(axis=0)
         # smallest sum index among the tied candidates
-        idx = np.where(dist == best[:, None], cand, self.sums.size).min(axis=1)
+        idx = np.where(dist == best, cand, self.sums.size).min(axis=0)
         ok = best < self._bound
         out = np.full(q.size, -1, dtype=np.int64)
         out[rows[ok]] = idx[ok]

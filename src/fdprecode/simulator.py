@@ -27,7 +27,7 @@ from scipy.special import gammainc, kolmogorov
 
 from . import streams
 # gram_polar is unused here: perfbench/tracing.py looks it up on this module to wrap it
-from .channel import gram_polar, rayleigh
+from .channel import gram_polar, rayleigh, scaled_complex
 from .constellation import ConstellationSets, average_energy, sum_constellation
 from .detector import FastMLDecoder, codeword_matrix, exhaustive_decode_batch
 from .errors import ConfigurationError
@@ -160,12 +160,12 @@ class _Engine:
         u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_CER, point_idx, first, count,
                                    cfg.words_per_trial)
         h = rayleigh(streams.normal_from_uniform(u[:, :self.n_h]), nr, nt)
-        cw = np.minimum((u[:, self.n_h:self.n_h + nt] * self.m).astype(np.int64), self.m - 1)
+        cw = (u[:, self.n_h:self.n_h + nt] * self.m).astype(np.int64)  # u < 1, so cw < m
         if cfg.noiseless:
             noise = 0.0
         else:
             gn = streams.normal_from_uniform(u[:, self.n_h + nt:])
-            noise = (gn[:, :nr] + 1j * gn[:, nr:]) * np.sqrt(sigma2 / 2.0)
+            noise = scaled_complex(gn[:, :nr], gn[:, nr:], np.sqrt(sigma2 / 2.0))
         true_idx = np.ravel_multi_index(tuple(cw.T), (self.m,) * nt)
         x = self.symbols[true_idx]
 

@@ -6,7 +6,8 @@ and the SNR-point index fill the two high 64-bit words of the 256-bit
 counter and the block position the low word. Each trial owns a fixed run of
 consecutive blocks (`trial_uniforms`). Because Philox output depends only on
 (key, counter), any partition of work across threads or processes
-reproduces the same values, draw for draw.
+reproduces the same values, draw for draw. Uniforms lie strictly inside
+(0, 1): the 2048 top words, which would round to 1.0, map to 1 - 2**-53.
 """
 
 import numpy as np
@@ -49,12 +50,15 @@ def trial_uniforms(seed: int, purpose: int, point: int, first: int, count: int,
     """
     blocks = (words + 3) // 4
     raw = raw_block(seed, purpose, point, first * blocks, count * blocks)
-    return uniform_open(raw.reshape(count, 4 * blocks))[:, :words]
+    return uniform_open(raw.reshape(count, 4 * blocks)[:, :words])
 
 
 def uniform_open(raw: np.ndarray) -> np.ndarray:
     """Map uint64 words to doubles strictly inside (0, 1)."""
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
+    u = (raw >> np.uint64(11)).view(np.int64).astype(np.float64)  # exact: below 2**53
+    u += 0.5
+    u *= 2.0 ** -53
+    return np.minimum(u, 1.0 - 2.0 ** -53, out=u)  # (2**53 - 0.5) * 2**-53 rounds to 1.0
 
 
 def normal_from_uniform(u: np.ndarray) -> np.ndarray:

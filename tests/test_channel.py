@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fdprecode.channel import gram_polar, rayleigh
+from fdprecode.channel import gram_polar, rayleigh, scaled_complex
 from fdprecode.errors import ConfigurationError
 from fdprecode.simulator import ks_test_chisq
+from fdprecode.streams import normal_from_uniform, uniform_open
 
 from draws import channels
 
@@ -27,6 +28,33 @@ def test_sample_channel_invalid_dimensions():
         rayleigh(np.zeros((1, 4)), -1, 2)
     with pytest.raises(ConfigurationError):
         rayleigh(np.zeros((1, 5)), 1, 2)
+
+
+def _normals(rows, cols):
+    """Normals as the simulator draws them, from random words (strided views below)."""
+    raw = np.random.default_rng([71, rows, cols]).integers(0, 1 << 64, size=(rows, cols),
+                                                           dtype=np.uint64)
+    return normal_from_uniform(uniform_open(raw))
+
+
+@pytest.mark.parametrize("nr, nt", [(1, 8), (2, 3), (3, 2), (1, 1)])
+def test_rayleigh_is_bitwise_the_former_expression(nr, nt):
+    k = nr * nt
+    wide = _normals(100_000, 4 * k + 1)
+    for normals in (wide[:, :2 * k], wide[:, 1::2], wide[::2, 1:2 * k + 1]):
+        former = (normals[:, :k] + 1j * normals[:, k:]).reshape(-1, nr, nt) / np.sqrt(2.0)
+        assert np.array_equal(rayleigh(normals, nr, nt).view(np.uint64), former.view(np.uint64))
+
+
+@pytest.mark.parametrize("sigma2", [2.0, 0.37, 1e-5])
+@pytest.mark.parametrize("nr", [1, 2, 3])
+def test_noise_is_bitwise_the_former_expression(nr, sigma2):
+    # the simulator's receiver noise: real parts, then imaginary parts, times sqrt(sigma2 / 2)
+    wide = _normals(100_000, 4 * nr + 1)
+    for gn in (wide[:, -2 * nr:], wide[:, 1::2], wide[::3, :2 * nr]):
+        former = (gn[:, :nr] + 1j * gn[:, nr:]) * np.sqrt(sigma2 / 2.0)
+        got = scaled_complex(gn[:, :nr], gn[:, nr:], np.sqrt(sigma2 / 2.0))
+        assert np.array_equal(got.view(np.uint64), former.view(np.uint64))
 
 
 # the channel-law tests draw 100000 CN(0, 1) gains as 100000 1x1 trials

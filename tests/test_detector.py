@@ -255,7 +255,8 @@ def _hard_queries(sums, rng, sample):
                            base + noise, base + 0.5 * noise])
 
 
-@pytest.mark.parametrize("nt, bits, sample", [(16, 1, 512), (8, 2, 512), (8, 1, 256)])
+@pytest.mark.parametrize("nt, bits, sample",
+                         [(16, 1, 512), (8, 2, 512), (8, 1, 256), (4, 2, 256), (3, 2, 64)])
 def test_grid_decoder_matches_argmin_on_presets(nt, bits, sample):
     sc = sum_constellation(preset(nt, bits))
     dec = FastMLDecoder(sc)
@@ -296,16 +297,22 @@ def test_grid_decoder_matches_argmin_off_lattice(kind, gridded):
     assert np.array_equal(_decode_queries(dec, q), _argmin_oracle(q, sc))
 
 
+def _signed_8x1(sign):
+    # the mirrored table reverses the grid order of tied sums against their index order
+    cs = preset(8, 1)
+    return ConstellationSets(tuple(sign * c for c in cs.sets), cs.bits_per_symbol)
+
+
 @pytest.mark.parametrize("sign", [1, -1])
 def test_grid_tie_break_smallest_index(sign):
     # y = 0 against the symmetric 256-sum 8x1 table: four sums share the
-    # minimal distance, close enough to certify the grid block, and both
-    # decoders must return the smallest index among them. The mirrored table
-    # reverses the grid order of the tied sums against their index order.
-    cs = preset(8, 1)
-    cs = ConstellationSets(tuple(sign * c for c in cs.sets), cs.bits_per_symbol)
+    # minimal distance d_min / sqrt(2), which the grid cannot certify, so the
+    # exhaustive argmin decides; both decoders must return the smallest index
+    # among them.
+    cs = _signed_8x1(sign)
     sc = sum_constellation(cs)
     assert FastMLDecoder(sc)._grid is not None
+    assert FastMLDecoder(sc)._lookup(np.zeros(1, dtype=complex))[0] == -1
     h = np.ones((1, 8), dtype=complex)
     a = np.ones(8, dtype=complex)
     he = h @ a
@@ -313,6 +320,23 @@ def test_grid_tie_break_smallest_index(sign):
     metrics = np.abs(sc * he[0]) ** 2
     minimizers = np.nonzero(metrics == metrics.min())[0]
     assert minimizers.size > 1
-    assert np.abs(sc[minimizers[0]]) < 0.25  # inside the certified radius d_min
+    assert np.abs(sc[minimizers[0]]) < 0.25  # closer than d_min
     assert ml_decode_bruteforce(y, h, a, cs) == minimizers[0]
     assert FastMLDecoder(sc).decode_batch(y[None], he[None])[0] == minimizers[0]
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_grid_certifies_a_tie_at_a_midpoint(sign):
+    # the midpoint of two 8x1 sums d_min = 0.25 apart is exact in binary and
+    # d_min / 2 from both, inside the grid's certified radius: the grid itself
+    # must break the tie toward the smaller index
+    sc = sum_constellation(_signed_8x1(sign))
+    dec = FastMLDecoder(sc)
+    dist = np.abs(sc[:, None] - sc[None, :])
+    i, j = np.argwhere(np.triu(dist == 0.25))[len(sc)]  # a pair well inside the table
+    q = np.array([(sc[i] + sc[j]) / 2])
+    assert 2 * q[0] == sc[i] + sc[j]
+    tied = np.nonzero(np.abs(q[0] - sc) == np.abs(q[0] - sc).min())[0]
+    assert list(tied) == sorted([i, j])
+    assert dec._lookup(q)[0] == min(i, j) >= 0
+    assert _decode_queries(dec, q)[0] == min(i, j)
