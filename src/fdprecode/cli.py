@@ -41,6 +41,7 @@ from .constellation import (
 )
 from .errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesignError
 from .simulator import (
+    KS_MIN_SAMPLES,
     SimConfig,
     estimate_diversity_slope,
     ks_test_chisq,
@@ -345,6 +346,8 @@ def cmd_dmin_pdf(args) -> int:
     sets, _ = _load_sets(options, "dmin-pdf")
     if not 1 <= options["bins"] <= _MAX_BINS:
         raise ConfigurationError(f"bins must lie in [1, {_MAX_BINS}], got {options['bins']}")
+    if options["count"] < KS_MIN_SAMPLES:
+        raise ConfigurationError(f"count must be >= {KS_MIN_SAMPLES}, got {options['count']}")
     nt, nr = sets.nt, options["nr"]
     samples = sample_dmin_pdf(nt, nr, options["seed"], options["count"], threads=_threads(options))
     dof = 2 * nt * nr

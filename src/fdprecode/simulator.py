@@ -39,7 +39,10 @@ _BATCH = 1 << 15        # trials vectorized together
 _GROUP_BATCHES = 4      # stopping-rule granularity, fixed so thread count is irrelevant
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _MAX_COUNT = 1 << 24    # d^2_min samples held at once for the sort and KS test (128 MB)
+KS_MIN_SAMPLES = 100    # the asymptotic KS p-value is not trusted below this
 _KS_CHUNK = 1 << 20     # sorted samples per KS step, bounding its temporaries to a few MB
+_KS_STRIDE = 64         # sorted samples per KS block, bounded from its first CDF value
+_KS_SLACK = 1e-9        # absorbs rounding in gammainc and in the block bounds
 _MAX_WORDS = 1 << 10    # uniforms per trial, so one batch's draw table stays within 256 MB
 
 
@@ -241,7 +244,7 @@ def sample_dmin_pdf(nt: int, nr: int, seed: int, count: int, threads: int = 1) -
     def draw(first, n):
         u = streams.trial_uniforms(seed, streams.PURPOSE_DMIN, 0, first, n, 2 * nr * nt)
         g = streams.normal_from_uniform(u)
-        return np.sum(g * g, axis=1)  # 2*|h|^2 summed = 2*||H||_F^2 directly
+        return np.sum(np.square(g, out=g), axis=1)  # 2*|h|^2 summed = 2*||H||_F^2 directly
 
     out = np.empty(count)
     with _pool(threads) as pool:
@@ -255,7 +258,10 @@ def ks_test_chisq(samples: np.ndarray, dof: int):
     """One-sample Kolmogorov-Smirnov test against the chi-square CDF.
 
     The reference CDF is the regularized lower incomplete gamma
-    P(dof/2, x/2); the p-value is the asymptotic Kolmogorov distribution.
+    F = P(dof/2, x/2); the p-value is the asymptotic Kolmogorov distribution.
+    F is monotone, so its value at the first of each _KS_STRIDE sorted samples
+    bounds every term of that block; only blocks whose bound reaches the
+    largest block-start term are evaluated, so the statistic stays exact.
     """
     if dof <= 0:
         raise ConfigurationError(f"degrees of freedom must be positive, got {dof}")
@@ -263,17 +269,25 @@ def ks_test_chisq(samples: np.ndarray, dof: int):
         raise ConfigurationError(f"degrees of freedom must be even, got {dof}")
     values = np.sort(np.asarray(samples, dtype=float))
     n = values.size
-    if n < 100:
-        raise ConfigurationError(f"need at least 100 samples, got {n}")
-    # the same elementwise terms as over the whole array, so the maxima are exact
-    d_plus = d_minus = -np.inf
-    for lo in range(0, n, _KS_CHUNK):
-        ref = gammainc(dof / 2.0, values[lo:lo + _KS_CHUNK] / 2.0)
-        i = np.arange(lo + 1, lo + ref.size + 1)
-        d_plus = max(d_plus, np.max(i / n - ref))
-        d_minus = max(d_minus, np.max(ref - (i - 1) / n))
-    stat = float(max(d_plus, d_minus))
-    return stat, float(kolmogorov(np.sqrt(n) * stat))
+    if n < KS_MIN_SAMPLES:
+        raise ConfigurationError(f"need at least {KS_MIN_SAMPLES} samples, got {n}")
+    if not (values[0] >= 0 and values[-1] < np.inf):  # NaN sorts last
+        bad = n - np.count_nonzero((values >= 0) & (values < np.inf))
+        raise ConfigurationError(f"samples must be finite and non-negative, {bad} of {n} are not")
+    starts = np.arange(0, n, _KS_STRIDE)
+    f = gammainc(dof / 2.0, values[::_KS_STRIDE] / 2.0)
+    stat = max(np.max((starts + 1) / n - f), np.max(f - starts / n))
+    upper = np.maximum(np.minimum(starts + _KS_STRIDE, n) / n - f,
+                       np.append(f[1:], 1.0) - starts / n)
+    blocks = np.flatnonzero(upper >= stat - _KS_SLACK)
+    step = _KS_CHUNK // _KS_STRIDE
+    for lo in range(0, blocks.size, step):
+        j = (blocks[lo:lo + step, None] * _KS_STRIDE + np.arange(_KS_STRIDE)).ravel()
+        np.minimum(j, n - 1, out=j)  # the last block may be short
+        ref = gammainc(dof / 2.0, values[j] / 2.0)
+        i = j + 1
+        stat = max(stat, np.max(i / n - ref), np.max(ref - (i - 1) / n))
+    return float(stat), float(kolmogorov(np.sqrt(n) * stat))
 
 
 def estimate_diversity_slope(curve: CerCurve, window: tuple) -> float:

@@ -337,6 +337,7 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
     (OPT[:3] + ["--budget", "3", "--phi-step", "1e-300"], None, "phi_step"),
     (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--bins", "1000000000000"], None, "bins"),
     (["dmin-pdf", "--preset", "3x1", "--count", "1000000000000"], None, "count"),
+    (["dmin-pdf", "--preset", "3x1", "--count", "50"], None, "count"),
     (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--seed", "-1"], None, "seed"),
     (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--seed", str(1 << 128)], None, "seed"),
     (["dmin-pdf", "--preset", "3x1", "--count", "1000", "--nr", "0"], None, "nr"),
@@ -351,7 +352,7 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
         "snr-tiny", "unknown-key",
         "negative-seed", "wide-seed", "old-optimize-manifest", "tol-negative", "tol-nan",
         "budget-nan", "budget-inf", "b-step-tiny", "phi-step-tiny", "bins-huge",
-        "count-huge", "dmin-negative-seed", "dmin-wide-seed", "dmin-nr-zero", "dmin-scheme-baseline",
+        "count-huge", "dmin-count-small", "dmin-negative-seed", "dmin-wide-seed", "dmin-nr-zero", "dmin-scheme-baseline",
         "nr-huge", "dmin-nr-huge",
         "check-target-and-preset", "check-file-target-and-preset", "check-target-and-config-file"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, config, key):

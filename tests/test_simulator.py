@@ -1,8 +1,11 @@
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gammainc
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gammainc, gammaincinv
 
 from fdprecode.constellation import preset, sum_constellation
 from fdprecode.detector import codeword_matrix
@@ -240,6 +243,59 @@ def test_ks_chunked_statistic_is_bit_identical():
     assert stat == whole
 
 
+def whole_array_statistic(z, dof):
+    values = np.sort(z)
+    ref = gammainc(dof / 2.0, values / 2.0)
+    i = np.arange(1, values.size + 1)
+    return float(max(np.max(i / values.size - ref), np.max(ref - (i - 1) / values.size)))
+
+
+def chisq_samples(dof, n, seed=0):
+    return np.random.default_rng([2025, 2, seed]).chisquare(dof, size=n)
+
+
+@pytest.mark.parametrize("n, true_dof, dof, repeat", [
+    (20000, 4, 4, 7),  # heavy ties: every value 7 times
+    (100, 6, 6, 1), (127, 6, 6, 1), (128, 6, 6, 1), (129, 6, 6, 1), ((1 << 20) + 17, 6, 6, 1),
+    (100000, 6, 8, 1), (100000, 8, 6, 1),  # the wrong dof
+])
+def test_ks_pruned_statistic_equals_whole_array(n, true_dof, dof, repeat):
+    z = np.repeat(chisq_samples(true_dof, n), repeat)
+    assert ks_test_chisq(z, dof)[0] == whole_array_statistic(z, dof)
+
+
+def test_ks_pruned_statistic_on_a_quantile_grid():
+    # every block's bound reaches the maximum, so every block is evaluated
+    n = 1 << 20
+    z = 2 * gammaincinv(6.0, (np.arange(n) + 0.5) / n)
+    assert ks_test_chisq(z, 12)[0] == whole_array_statistic(z, 12)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(100, 5000), st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**31 - 1))
+def test_ks_pruned_statistic_property(n, half_dof, half_true, seed):
+    z = chisq_samples(2 * half_true, n, seed)
+    assert ks_test_chisq(z, 2 * half_dof)[0] == whole_array_statistic(z, 2 * half_dof)
+
+
+def test_ks_dmin_result_is_pinned():
+    # recorded with the whole-array KS test
+    z = sample_dmin_pdf(3, 2, 0, 1 << 20)
+    assert ks_test_chisq(z, 12) == (0.0008704757294617504, 0.4047599995158725)
+
+
+def test_ks_memory_is_bounded():
+    # the sorted copy is 8 MB; evaluating the CDF at every sample peaked at 42 MB
+    z = chisq_samples(6, 1 << 20)
+    tracemalloc.start()
+    try:
+        ks_test_chisq(z, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+
+
 def test_ks_validation():
     z = np.ones(1000)
     with pytest.raises(ConfigurationError):
@@ -250,6 +306,13 @@ def test_ks_validation():
         ks_test_chisq(z, 3)
     with pytest.raises(ConfigurationError):
         ks_test_chisq(np.ones(50), 2)
+    for bad, count in [(np.nan, 1), (-np.inf, 1), (np.inf, 1), (-1e-300, 1), (-3.0, 1000)]:
+        z = chisq_samples(4, 1000)
+        z[:count] = bad
+        with pytest.raises(ConfigurationError, match=f"{count} of 1000"):
+            ks_test_chisq(z, 4)
+    with pytest.raises(ConfigurationError, match="1000 of 1000"):
+        ks_test_chisq(np.full(1000, np.nan), 4)
 
 
 # ----------------------------------------------------------------- slope fit
