@@ -13,7 +13,6 @@ addressed by seed, purpose, SNR point and trial.
 
 __version__ = "0.1.0"
 
-from .channel import gram_polar
 from .constellation import (
     ConstellationSets,
     DiversityReport,
@@ -30,9 +29,9 @@ from .constellation import (
     save_constellation,
     sum_constellation,
 )
-from .detector import FastMLDecoder, ml_decode_bruteforce
+from .detector import FastMLDecoder
 from .errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesignError
-from .precoder import feedback_angles_batch, per_antenna_phase_residuals, precoder_matrix
+from .precoder import feedback_angles_batch
 from .simulator import (
     CerCurve,
     SimConfig,
@@ -44,15 +43,13 @@ from .simulator import (
 )
 
 __all__ = [
-    "gram_polar",
     "ConstellationSets", "DiversityReport", "GridSpec", "OptimizationResult",
     "average_energy", "check_full_diversity",
     "geometric_qam_family", "load_constellation", "min_sum_distance",
     "optimize_rotations_scalings", "preset", "qam_points", "save_constellation",
-    "sum_constellation", "FastMLDecoder", "ml_decode_bruteforce",
+    "sum_constellation", "FastMLDecoder",
     "ConfigurationError", "EnumerationBudgetError", "InfeasibleDesignError",
-    "feedback_angles_batch", "per_antenna_phase_residuals", "precoder_matrix",
-    "CerCurve", "SimConfig",
+    "feedback_angles_batch", "CerCurve", "SimConfig",
     "estimate_diversity_slope", "ks_test_chisq", "run_cer_sweep", "sample_dmin_pdf",
     "wilson_interval",
 ]

@@ -1,4 +1,4 @@
-"""Rayleigh MIMO channel and receiver cross-correlation statistics.
+"""Rayleigh MIMO channels, and the polar cross-correlation pair of a batch.
 
 A channel matrix is a complex ndarray of shape (nr, nt): row = receive
 antenna, column = transmit antenna, entries i.i.d. CN(0, 1) with total unit
@@ -35,22 +35,17 @@ def scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
     return z
 
 
-def pair_columns(n: int) -> slice:
-    """The columns of `gram_polar`'s output that hold the pairs (n, 0..n-1)."""
-    return slice(n * (n - 1) // 2, n * (n + 1) // 2)
-
-
 def gram_polar(h_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polar cross-correlations of a (B, nr, nt) channel batch, packed.
 
     Returns (rho, alpha), each of shape (B, nt * (nt - 1) // 2), holding the
     pairs n > m (0-based) in ``np.tril_indices(nt, -1)`` order, so antenna
-    n's terms are the columns `pair_columns(n)`. There ``rho * exp(1j * alpha)``
-    equals sum_o conj(H[o, n]) * H[o, m]; rho is nonnegative, alpha is the
-    principal value in (-pi, pi], and alpha is fixed to 0 wherever rho
-    vanishes. Only these pairs are computed. The precoder kernel does not
-    use them: they are the independent path that checks its cancellation
-    (`precoder.per_antenna_phase_residuals`).
+    n's terms are the columns n (n - 1) / 2 .. n (n + 1) / 2 - 1. There
+    ``rho * exp(1j * alpha)`` equals sum_o conj(H[o, n]) * H[o, m]; rho is
+    nonnegative, alpha is the principal value in (-pi, pi], and alpha is
+    fixed to 0 wherever rho vanishes. Only these pairs are computed. No
+    simulation path calls this: it stays in the package only because
+    perfbench/tracing.py wraps ``simulator.gram_polar``.
     """
     if h_batch.ndim != 3:
         raise ConfigurationError(f"channel batch must be 3-D, got shape {h_batch.shape}")
@@ -58,7 +53,7 @@ def gram_polar(h_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rho = np.empty((b, nt * (nt - 1) // 2))
     alpha = np.empty_like(rho)
     for n in range(1, nt):
-        cols = pair_columns(n)
+        cols = slice(n * (n - 1) // 2, n * (n + 1) // 2)
         g = np.einsum("bo,bom->bm", h_batch[:, :, n].conj(), h_batch[:, :, :n])
         rho[:, cols] = np.abs(g)
         # adding +0j normalizes -0.0 imaginary parts so negative reals map to +pi

@@ -447,8 +447,11 @@ def save_constellation(cs: ConstellationSets, path) -> None:
 
 def load_constellation(path) -> ConstellationSets:
     """Read the plain-text constellation format written by save_constellation."""
-    with open(path, "r", encoding="ascii") as f:
-        lines = [ln.strip() for ln in f if ln.strip() and not ln.startswith("#")]
+    try:
+        with open(path, "r", encoding="ascii") as f:
+            lines = [ln for ln in map(str.strip, f) if ln and not ln.startswith("#")]
+    except UnicodeDecodeError as e:
+        raise ConfigurationError(f"constellation file {path} is not ASCII text: {e}") from None
     if not lines:
         raise ConfigurationError(f"constellation file {path} is empty")
     head = lines[0].split()
@@ -460,6 +463,9 @@ def load_constellation(path) -> ConstellationSets:
         raise ConfigurationError(f"constellation file {path}: bad header {lines[0]!r}") from e
     if nt < 1 or bits < 1:
         raise ConfigurationError(f"constellation file {path}: invalid header values nt={nt} bits={bits}")
+    if nt << min(bits, 64) != len(lines) - 1:  # also bounds nt and bits by the file's length
+        raise ConfigurationError(
+            f"constellation file {path}: header needs {nt} x 2^{bits} point lines, got {len(lines) - 1}")
     points = [[] for _ in range(nt)]
     for ln in lines[1:]:
         parts = ln.split()

@@ -1,12 +1,12 @@
-"""Exact maximum-likelihood detection for the precoded system.
+"""Exact maximum-likelihood detection, precoded and unprecoded.
 
-Two equivalent paths: an exhaustive search over the full codebook (the oracle,
-in real arithmetic with no BLAS call; the same batched search decodes the
-unprecoded V-BLAST baseline) and a fast decoder over the sum constellation.
-Because F x = a * sum(x), the metric ||y - H F x||^2 depends on x only
-through s = sum(x), so the fast path is a nearest-point search for the
-matched-filter reduction s_mf = (h_eff^H y) / ||h_eff||^2 -- the same argmin.
-Both break ties toward the smallest codeword index.
+Two decoders: an exhaustive search over the full codebook (real arithmetic, no
+BLAS call), which decodes the unprecoded V-BLAST baseline, and a fast decoder
+over the sum constellation for the precoded scheme. Because F x = a * sum(x),
+the metric ||y - H F x||^2 depends on x only through s = sum(x), so the fast
+path is a nearest-point search for the matched-filter reduction
+s_mf = (h_eff^H y) / ||h_eff||^2 -- the same argmin as the exhaustive search
+through H F. Both break ties toward the smallest codeword index.
 
 The fast path looks the nearest sum up in a uniform bucket grid of cells of
 side c just under d_min / sqrt(2), which holds at most one sum per cell. A
@@ -22,19 +22,18 @@ import numpy as np
 
 from .constellation import DEFAULT_DISTINCT_TOL, ConstellationSets, _min_pairwise
 from .errors import ConfigurationError, EnumerationBudgetError
-from .precoder import precoder_matrix
 
 BRUTEFORCE_BUDGET = 1 << 16
 
 
-def codeword_matrix(cs: ConstellationSets,
-                    remedy: str = "use the sum-constellation decoder") -> np.ndarray:
+def codeword_matrix(cs: ConstellationSets) -> np.ndarray:
     """All codewords as an (N, nt) array in lexicographic index order; a
-    codebook over BRUTEFORCE_BUDGET raises, naming the caller's `remedy`."""
+    codebook over BRUTEFORCE_BUDGET raises, pointing to the precoded scheme."""
     n = cs.codebook_size
     if n > BRUTEFORCE_BUDGET:
         raise EnumerationBudgetError(
-            f"enumeration infeasible: {n} codewords exceed the budget {BRUTEFORCE_BUDGET}; {remedy}")
+            f"enumeration infeasible: {n} codewords exceed the budget {BRUTEFORCE_BUDGET}; "
+            "the unprecoded_vblast baseline decodes exhaustively; use --scheme proposed")
     return np.stack(np.meshgrid(*cs.sets, indexing="ij"), -1).reshape(n, cs.nt)
 
 
@@ -66,14 +65,6 @@ def exhaustive_decode_batch(y: np.ndarray, transfer: np.ndarray,
     return out
 
 
-def ml_decode_bruteforce(y: np.ndarray, h: np.ndarray, a: np.ndarray,
-                         cs: ConstellationSets) -> int:
-    """Exhaustive ML decode of y = H F x + n; returns the codeword index."""
-    hf = np.asarray(h, dtype=complex) @ precoder_matrix(a)
-    y = np.asarray(y, dtype=complex)
-    return int(exhaustive_decode_batch(y[None], hf[None], codeword_matrix(cs))[0])
-
-
 class FastMLDecoder:
     """ML decoder over the (N,) codeword sums from `sum_constellation`, with
     its bucket grid built once.
@@ -82,7 +73,7 @@ class FastMLDecoder:
     The minimum spacing d comes from the same exact bucket-grid closest-pair
     search the constellation checker uses (`constellation._min_pairwise`).
     The grid's cell side c is d / sqrt(2) less a relative 1e-9, so a cell
-    holds at most one sum; it is padded by `_RADIUS + 1` cells on every side,
+    holds at most one sum; it is padded by 2 cells on every side,
     and empty cells hold the sentinel index N, whose point lies at infinity.
     A 3 x 3 block minimum below c (1 - 1e-9) is certified. No grid is built
     for tables of at most `_ARGMIN_SUMS` sums, or when the grid would need
@@ -90,7 +81,6 @@ class FastMLDecoder:
     exhaustive argmin.
     """
 
-    _RADIUS = 1               # block of (2r+1)^2 cells searched around the query's cell
     _ARGMIN_SUMS = 25         # tables this small decode faster by the exhaustive argmin
     _MAX_CELLS_PER_SUM = 16   # grid size cap, in cells per sum
     _GATHER_ROWS = 4096       # queries per candidate gather, bounding its temporaries
@@ -103,7 +93,6 @@ class FastMLDecoder:
                 "decisions would be ambiguous")
         self.sums = sums
         self._grid = None
-        r = self._RADIUS
         n = self.sums.size
         if n <= self._ARGMIN_SUMS:
             return
@@ -111,7 +100,7 @@ class FastMLDecoder:
         x0, y0 = self.sums.real.min(), self.sums.imag.min()
         ix = np.floor((self.sums.real - x0) / c).astype(np.intp)
         iy = np.floor((self.sums.imag - y0) / c).astype(np.intp)
-        pad = r + 1
+        pad = 2
         nx, ny = int(ix.max()) + 1 + 2 * pad, int(iy.max()) + 1 + 2 * pad
         if nx * ny > self._MAX_CELLS_PER_SUM * n:
             return
@@ -121,9 +110,9 @@ class FastMLDecoder:
         self._grid = grid.ravel()
         self._points = np.append(self.sums, complex(np.inf, np.inf))
         self._frame = (x0, y0, c, pad, nx, ny)
-        dx, dy = np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1), indexing="ij")
+        dx, dy = np.meshgrid(np.arange(-1, 2), np.arange(-1, 2), indexing="ij")
         self._offsets = (dx * ny + dy).reshape(-1, 1)
-        self._bound = r * c * (1.0 - 1e-9)
+        self._bound = c * (1.0 - 1e-9)
 
     def decode_batch(self, y: np.ndarray, h_eff: np.ndarray) -> np.ndarray:
         """Vectorized decode of (B, nr) receptions against (B, nr) effective channels."""
@@ -142,12 +131,11 @@ class FastMLDecoder:
     def _lookup(self, q: np.ndarray) -> np.ndarray:
         """Grid decision for each query in q, or -1 where the grid cannot certify one."""
         x0, y0, c, pad, nx, ny = self._frame
-        r = self._RADIUS
         with np.errstate(over="ignore"):
             fx = np.floor((q.real - x0) / c) + pad
             fy = np.floor((q.imag - y0) / c) + pad
         # non-finite cells, NaN included, fail the range test and fall back
-        rows = np.nonzero((fx >= r) & (fx < nx - r) & (fy >= r) & (fy < ny - r))[0]
+        rows = np.nonzero((fx >= 1) & (fx < nx - 1) & (fy >= 1) & (fy < ny - 1))[0]
         cell = fx[rows].astype(np.intp) * ny + fy[rows].astype(np.intp)
         cand = self._grid[self._offsets + cell]  # (block cells, queries): mins run along long rows
         dist = np.abs(q[rows] - self._points[cand])

@@ -14,14 +14,11 @@ That sum is Re(e^{-j theta_n} z_n) with z_n = sum_{m<n} G[n, m] e^{j theta_m}
 = h_n^H (sum_{m<n} a_m h_m), column n's conjugate times the partial
 effective channel built so far. `feedback_angles_batch` walks the antennas
 once with that running sum and sets a_n = -j z_n / |z_n| without any
-trigonometry; the finished sum is h_eff = H a. The polar Gram pair of
-`channel.gram_polar` is kept as the independent check of the cancellation
-(`per_antenna_phase_residuals`).
+trigonometry; the finished sum is h_eff = H a. F itself is never formed.
 """
 
 import numpy as np
 
-from .channel import gram_polar, pair_columns
 from .errors import ConfigurationError
 
 # below this magnitude the zero-crossing constraint for an antenna is vacuous
@@ -51,25 +48,3 @@ def feedback_angles_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         np.divide(-1j * z, mag, out=a[n], where=mag >= _DEGENERATE_EPS)
         s += a[n][:, None] * cols[n]
     return a.T, s
-
-
-def precoder_matrix(a: np.ndarray) -> np.ndarray:
-    """Materialize the rank-one (nt, nt) matrix whose every column is a."""
-    a = np.asarray(a, dtype=complex)
-    return np.repeat(a[:, None], a.shape[0], axis=1)
-
-
-def per_antenna_phase_residuals(h: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Inner cosine sum for each antenna n; entry 0 is trivially zero.
-
-    Angles of `feedback_angles_batch` drive every entry to ~0 individually,
-    a stronger statement than the total phase condition.
-    """
-    h = np.asarray(h, dtype=complex)
-    rho, alpha = gram_polar(h[None])
-    theta = np.asarray(theta, dtype=float)
-    out = np.zeros(h.shape[1])
-    for n in range(1, h.shape[1]):
-        cols = pair_columns(n)
-        out[n] = np.sum(rho[0, cols] * np.cos(theta[:n] - theta[n] + alpha[0, cols]))
-    return out

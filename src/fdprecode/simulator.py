@@ -152,9 +152,7 @@ class _Engine:
             self.symbols = sum_constellation(cfg.constellation)
             self.decoder = FastMLDecoder(self.symbols)
         else:
-            # the baseline has no sum-constellation decoder to fall back on
-            self.symbols = codeword_matrix(cfg.constellation, "the unprecoded_vblast baseline "
-                                           "decodes exhaustively; use --scheme proposed")
+            self.symbols = codeword_matrix(cfg.constellation)
             self.decoder = None
 
     def run_batch(self, point_idx: int, sigma2: float, first: int, count: int) -> int:

@@ -187,6 +187,12 @@ def test_check_malformed_file(tmp_path, capsys):
     p = tmp_path / "bad.txt"
     p.write_text("not a header\n")
     assert run(["check-constellation", p]) == 2
+    # a byte that is not ASCII is one error line naming the file, not a traceback
+    p.write_bytes(b"1 1\n1 -1 0\n1 1 \xff\n")
+    capsys.readouterr()
+    assert run(["check-constellation", p]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and str(p) in err[0]
 
 
 def test_check_custom_file(tmp_path):

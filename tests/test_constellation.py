@@ -507,6 +507,10 @@ def test_constellation_file_roundtrip(tmp_path):
         assert back.bits_per_symbol == cs.bits_per_symbol
         for a, b in zip(back.sets, cs.sets):
             assert np.array_equal(a, b)
+    # comment lines may be indented, as in config files
+    path.write_text("  # note\n" + path.read_text().replace("\n", "\n\t# tab\n", 1))
+    for a, b in zip(load_constellation(path).sets, cs.sets):
+        assert np.array_equal(a, b)
 
 
 def test_constellation_file_malformed(tmp_path):
@@ -517,9 +521,11 @@ def test_constellation_file_malformed(tmp_path):
         "count.txt": "1 1\n1 1 0\n",
         "index.txt": "1 1\n2 1 0\n5 -1 0\n",
         "alpha.txt": "1 1\n1 a b\n1 -1 0\n",
+        "undecodable.txt": b"1 1\n1 -1 0\n1 1 \xff\n",
+        "bits.txt": "1 20000\n1 -1 0\n1 1 0\n",
     }
     for name, content in cases.items():
         p = tmp_path / name
-        p.write_text(content)
-        with pytest.raises(ConfigurationError):
+        p.write_bytes(content if isinstance(content, bytes) else content.encode())
+        with pytest.raises(ConfigurationError, match=name):
             load_constellation(p)

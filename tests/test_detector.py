@@ -10,16 +10,12 @@ from fdprecode.constellation import (
     qam_points,
     sum_constellation,
 )
-from fdprecode.detector import (
-    FastMLDecoder,
-    codeword_matrix,
-    exhaustive_decode_batch,
-    ml_decode_bruteforce,
-)
+from fdprecode.detector import FastMLDecoder, codeword_matrix, exhaustive_decode_batch
 from fdprecode.errors import ConfigurationError, EnumerationBudgetError
 from fdprecode.precoder import feedback_angles_batch
 
 from draws import channels
+from oracles import ml_decode, precoder
 
 
 def links(seed, count, nr, nt):
@@ -40,10 +36,11 @@ def test_bruteforce_noiseless_exact():
     for nt, bits in [(3, 1), (4, 2)]:
         cs = preset(nt, bits)
         x = codeword_matrix(cs)
-        for h, a, _ in zip(*links(60, 50, 1, nt)):
-            k = int(rng.integers(x.shape[0]))
-            y = h @ (np.repeat(a[:, None], nt, axis=1) @ x[k])
-            assert ml_decode_bruteforce(y, h, a, cs) == k
+        h, a, _ = links(60, 50, 1, nt)
+        k = np.array([rng.integers(x.shape[0]) for _ in range(50)])
+        transfer = h @ precoder(a)
+        y = np.einsum("bon,bn->bo", transfer, x[k])
+        assert np.array_equal(ml_decode(y, transfer, x), k)
 
 
 def test_fast_noiseless_exact():
@@ -70,7 +67,7 @@ def test_decoders_agree_on_noisy_trials():
             noise = (rng.standard_normal(1) + 1j * rng.standard_normal(1)) * sigma
             ys.append(he[b] * sc[k] + noise)
         fast = FastMLDecoder(sc).decode_batch(np.array(ys), he)
-        assert [ml_decode_bruteforce(*args, cs) for args in zip(ys, h, a)] == list(fast)
+        assert np.array_equal(ml_decode(np.array(ys), h @ precoder(a), x), fast)
 
 
 def test_tie_break_smallest_index():
@@ -85,7 +82,7 @@ def test_tie_break_smallest_index():
     metrics = np.abs(sc * he[0]) ** 2
     minimizers = np.nonzero(metrics == metrics.min())[0]
     assert minimizers.size > 1
-    assert ml_decode_bruteforce(y, h, a, cs) == minimizers[0]
+    assert ml_decode(y[None], (h @ precoder(a))[None], codeword_matrix(cs))[0] == minimizers[0]
     assert FastMLDecoder(sc).decode_batch(y[None], he[None])[0] == minimizers[0]
 
 
@@ -101,11 +98,10 @@ def test_scale_equivariance():
     assert np.array_equal(dec.decode_batch(y, he), dec.decode_batch(c * y, c * he))
 
 
-def test_bruteforce_budget_error_points_to_fast_path():
+def test_codeword_matrix_budget_error_names_the_proposed_scheme():
     cs = geometric_qam_family(16, 4, 0.5)
-    with pytest.raises(EnumerationBudgetError, match="sum-constellation"):
-        ml_decode_bruteforce(np.zeros(1, dtype=complex), np.ones((1, 16), dtype=complex),
-                             np.ones(16, dtype=complex), cs)
+    with pytest.raises(EnumerationBudgetError, match="--scheme proposed"):
+        codeword_matrix(cs)
 
 
 @pytest.mark.parametrize("nr", [1, 2, 3])
@@ -134,12 +130,6 @@ def test_exhaustive_decode_batch_is_the_unprecoded_ml_decoder(nr):
             assert tied.size >= 2 and got[0] == tied[0]
 
 
-def _norm_oracle(y, transfer, codewords):
-    # per row, ||y_b - transfer_b x_k|| for every k by np.linalg.norm; first minimum
-    cand = np.einsum("bon,kn->bko", transfer, codewords)
-    return np.argmin(np.linalg.norm(y[:, None, :] - cand, axis=2), axis=1)
-
-
 @pytest.mark.parametrize("kind", ["qam", "bpsk"])
 @pytest.mark.parametrize("nr", [1, 2, 3, 4])
 @pytest.mark.parametrize("nt", [2, 3, 4])
@@ -159,7 +149,7 @@ def test_exhaustive_decode_batch_matches_norm_oracle(nt, nr, kind):
     y = ybuf[:, 1::2]
     assert not (transfer.flags.c_contiguous or y.flags.c_contiguous)
     got = exhaustive_decode_batch(y, transfer, x)
-    assert np.array_equal(got, _norm_oracle(y, transfer, x))
+    assert np.array_equal(got, ml_decode(y, transfer, x))
     assert np.count_nonzero(got != k) > 0  # the noise makes errors
 
 
@@ -321,7 +311,7 @@ def test_grid_tie_break_smallest_index(sign):
     minimizers = np.nonzero(metrics == metrics.min())[0]
     assert minimizers.size > 1
     assert np.abs(sc[minimizers[0]]) < 0.25  # closer than d_min
-    assert ml_decode_bruteforce(y, h, a, cs) == minimizers[0]
+    assert ml_decode(y[None], (h @ precoder(a))[None], codeword_matrix(cs))[0] == minimizers[0]
     assert FastMLDecoder(sc).decode_batch(y[None], he[None])[0] == minimizers[0]
 
 
