@@ -26,7 +26,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 import scipy
-from scipy.special import gammaln
 
 from . import __version__, svgplot
 from .constellation import (
@@ -233,6 +232,17 @@ def _threads(options) -> int:
     return n
 
 
+def _out_path(args, default: str) -> str:
+    """The command's output path, refused before any work if it cannot be written."""
+    out = args.out or default
+    folder = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(folder):
+        raise ConfigurationError(f"{out}: output directory {folder!r} does not exist")
+    if os.path.isdir(out):
+        raise ConfigurationError(f"{out}: output path is a directory")
+    return out
+
+
 def write_manifest(out_path: str, command: str, config: dict, outputs: list) -> str:
     manifest = {
         "tool": "fdprecode",
@@ -263,9 +273,9 @@ def cmd_simulate(args) -> int:
                     snr_grid_db=options["snr"], trials_per_point=options["trials"],
                     seed=options["seed"], scheme=options["scheme"],
                     target_errors=options.get("target_errors"), noiseless=options["noiseless"])
+    out = _out_path(args, "cer.csv")
     curve = run_cer_sweep(cfg, threads=_threads(options))
 
-    out = args.out or "cer.csv"
     with open(out, "w", encoding="ascii", newline="\n") as f:
         f.write("snr_db,trials,errors,cer,ci_lo,ci_hi\n")
         for k in range(curve.snr_db.size):
@@ -329,8 +339,8 @@ def cmd_optimize_constellation(args) -> int:
     if "budget" not in options:
         raise ConfigurationError("power budget required: use --budget")
     grid = GridSpec(b_step=options["b_step"], phi_step=options["phi_step"])
+    out = _out_path(args, "optimized.txt")
     result = optimize_rotations_scalings(base, grid, options["budget"])
-    out = args.out or "optimized.txt"
     save_constellation(result.sets, out)
     manifest = write_manifest(out, "optimize-constellation", options, [out])
     for i in range(base.nt):
@@ -349,19 +359,22 @@ def cmd_dmin_pdf(args) -> int:
     if options["count"] < KS_MIN_SAMPLES:
         raise ConfigurationError(f"count must be >= {KS_MIN_SAMPLES}, got {options['count']}")
     nt, nr = sets.nt, options["nr"]
+    out = _out_path(args, "dmin_pdf.csv")
     samples = sample_dmin_pdf(nt, nr, options["seed"], options["count"], threads=_threads(options))
+    samples.sort()  # in place, once: the KS test takes sorted input as is; counts ignore order
     dof = 2 * nt * nr
     stat, p_value = ks_test_chisq(samples, dof)
 
     counts, edges = np.histogram(samples, bins=options["bins"])
     density = counts / (samples.size * np.diff(edges))
-    out = args.out or "dmin_pdf.csv"
     with open(out, "w", encoding="ascii", newline="\n") as f:
         f.write("bin_lo,bin_hi,count,density\n")
         for lo, hi, c, d in zip(edges[:-1], edges[1:], counts, density):
             f.write(f"{_fmt(float(lo))},{_fmt(float(hi))},{int(c)},{_fmt(float(d))}\n")
     outputs = [out]
     if args.plot:
+        from scipy.special import gammaln
+
         xs = np.linspace(max(edges[0], 1e-9), edges[-1], 400)
         half = dof / 2.0
         pdf = np.exp((half - 1) * np.log(xs) - xs / 2.0 - half * np.log(2.0) - gammaln(half))
@@ -397,6 +410,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in ("simulate", "dmin-pdf"):
+        # load it before the parser and the batch arrays: first loaded mid-batch, its
+        # long-lived objects can pin the heap top, and a later 2-thread call peaks higher
+        import scipy.special  # noqa: F401
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

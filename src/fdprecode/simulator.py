@@ -14,6 +14,9 @@ the proposed scheme E||H F x||^2 = nt * nr * Es (the rank-one precoder adds
 an nt-fold array gain), so sigma^2 = nt * Es / gamma; the unprecoded
 baseline receives Es per antenna, so sigma^2 = Es / gamma, with
 Es = sum_i E|x_i|^2 in both cases.
+
+`scipy.special` is imported by the calls that use it (the KS test here, the
+normal draws in `streams`), so the design commands never load it.
 """
 
 import concurrent.futures
@@ -23,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, kolmogorov
 
 from . import streams
 # gram_polar is unused here: perfbench/tracing.py looks it up on this module to wrap it
@@ -260,12 +262,17 @@ def ks_test_chisq(samples: np.ndarray, dof: int):
     F is monotone, so its value at the first of each _KS_STRIDE sorted samples
     bounds every term of that block; only blocks whose bound reaches the
     largest block-start term are evaluated, so the statistic stays exact.
+    Input already in non-decreasing order is read as it is, without a copy.
     """
+    from scipy.special import gammainc, kolmogorov
+
     if dof <= 0:
         raise ConfigurationError(f"degrees of freedom must be positive, got {dof}")
     if dof % 2 != 0:
         raise ConfigurationError(f"degrees of freedom must be even, got {dof}")
-    values = np.sort(np.asarray(samples, dtype=float))
+    values = np.asarray(samples, dtype=float)
+    if not np.all(values[1:] >= values[:-1]):  # a NaN fails this, and np.sort puts it last
+        values = np.sort(values)
     n = values.size
     if n < KS_MIN_SAMPLES:
         raise ConfigurationError(f"need at least {KS_MIN_SAMPLES} samples, got {n}")

@@ -8,10 +8,10 @@ consecutive blocks (`trial_uniforms`). Because Philox output depends only on
 (key, counter), any partition of work across threads or processes
 reproduces the same values, draw for draw. Uniforms lie strictly inside
 (0, 1): the 2048 top words, which would round to 1.0, map to 1 - 2**-53.
+`scipy.special` is imported on the first normal draw, not with the module.
 """
 
 import numpy as np
-from scipy.special import ndtri
 
 # 256-bit Philox counter, low to high word: [block, 0, point, purpose]
 _POINT_SHIFT = 128
@@ -63,4 +63,5 @@ def uniform_open(raw: np.ndarray) -> np.ndarray:
 
 def normal_from_uniform(u: np.ndarray) -> np.ndarray:
     """Standard normals via the inverse CDF (fixed consumption per value)."""
+    from scipy.special import ndtri
     return ndtri(u)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fdprecode import cli
 from fdprecode.cli import (
     COMMANDS,
     OPTIONS,
@@ -278,6 +279,24 @@ def test_bad_thread_counts_exit_2(tmp_path, monkeypatch, capsys):
     assert run(argv) == 2
     assert "FDPRECODE_THREADS" in capsys.readouterr().err
     assert not (tmp_path / "c.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--preset", "8x1", "--snr", "30", "--trials", "1000000"],
+    ["dmin-pdf", "--preset", "3x1", "--count", "4000000"],
+    ["optimize-constellation", "--preset", "3x1", "--budget", "2.5"],
+])
+def test_unusable_out_path_exits_2_before_computing(tmp_path, monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    for name in ("run_cer_sweep", "sample_dmin_pdf", "optimize_rotations_scalings"):
+        monkeypatch.setattr(cli, name, refuse)
+    for out in (tmp_path / "missing" / "a.csv", tmp_path):
+        assert run(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dmin_pdf_manifest_rerun_identical(tmp_path):

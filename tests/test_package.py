@@ -1,5 +1,9 @@
 import ast
+import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 import types
 
 import fdprecode
@@ -22,3 +26,51 @@ def test_every_exported_name_is_used_by_the_package():
             loaded |= {node.id for node in ast.walk(ast.parse(path.read_text()))
                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert sorted(set(fdprecode.__all__) - loaded) == []
+
+
+# a fresh interpreter, since this one has loaded scipy.special for other tests
+_LAZY_SCIPY = textwrap.dedent("""
+    import filecmp, os, sys
+    import fdprecode, fdprecode.cli
+    from fdprecode import SimConfig, preset, run_cer_sweep
+    from fdprecode.cli import main
+    out = sys.argv[1]
+    assert main(["check-constellation", "3x1"]) == 0
+    assert main(["optimize-constellation", "--preset", "3x1", "--budget", "2.5",
+                 "--b-step", "0.5", "--out", os.path.join(out, "opt.txt")]) == 0
+    assert "scipy.special" not in sys.modules
+    # three batches on two pool threads: the first normal draw imports it on a worker
+    cfg = SimConfig(nr=1, constellation=preset(3, 1), snr_grid_db=(6.0,),
+                    trials_per_point=70000, seed=0)
+    two = run_cer_sweep(cfg, threads=2)
+    assert "scipy.special" in sys.modules
+    one = run_cer_sweep(cfg, threads=1)
+    assert (two.trials == one.trials).all() and (two.errors == one.errors).all()
+    for threads in ("2", "1"):
+        assert main(["simulate", "--preset", "3x1", "--snr", "6", "--trials", "70000",
+                     "--threads", threads, "--out", os.path.join(out, threads + ".csv")]) == 0
+    assert filecmp.cmp(os.path.join(out, "2.csv"), os.path.join(out, "1.csv"), shallow=False)
+""")
+
+# the commands that draw load it before they parse their arguments
+_EARLY_SCIPY = textwrap.dedent("""
+    import sys
+    from fdprecode.cli import main
+    try:
+        main(["dmin-pdf", "--no-such-flag"])
+    except SystemExit:
+        pass
+    assert "scipy.special" in sys.modules
+""")
+
+
+def test_design_commands_leave_scipy_special_unloaded(tmp_path):
+    src = str(pathlib.Path(fdprecode.__file__).parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _LAZY_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-c", _EARLY_SCIPY], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

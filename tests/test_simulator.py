@@ -296,6 +296,28 @@ def test_ks_memory_is_bounded():
     assert peak <= 16e6
 
 
+def test_ks_reads_sorted_input_as_is():
+    z = chisq_samples(6, 1 << 20)
+    before = z.copy()
+    values = np.sort(z)
+    values.flags.writeable = False  # neither sorted nor otherwise written
+    tracemalloc.start()
+    try:
+        result = ks_test_chisq(values, 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == ks_test_chisq(z, 6)
+    assert np.array_equal(z, before)  # unsorted input is sorted in a copy
+    assert peak <= 4e6  # the sorted copy alone would be 8 MB
+    # in order but invalid: NaN fails the order check, the others the range check
+    for bad, at in [(np.nan, -1), (np.inf, -1), (-np.inf, 0), (-1.0, 0)]:
+        z = np.sort(chisq_samples(4, 1000))
+        z[at] = bad
+        with pytest.raises(ConfigurationError, match="1 of 1000"):
+            ks_test_chisq(z, 4)
+
+
 def test_ks_validation():
     z = np.ones(1000)
     with pytest.raises(ConfigurationError):
