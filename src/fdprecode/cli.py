@@ -1,16 +1,21 @@
 """Configuration-driven command line for simulations and constellation tools.
 
 Subcommands: simulate, check-constellation, optimize-constellation, dmin-pdf.
-One option table, `OPTIONS`, gives every option its parser, default and
-help; `COMMANDS` lists the options each subcommand takes. The tables build
-the flags (``--b-step`` sets ``b_step``), and `resolve_options` reads a flat
-``key = value`` config file or a previously written run manifest, whose keys
-are the option names. Keys a command does not take are rejected, flags win
-over the file, and every value, flag or file, goes through its option's
-parser. Range checks stay with the library (`SimConfig`, `GridSpec`,
-`sample_dmin_pdf`). Every file-producing command writes a JSON manifest next
-to its outputs with the resolved options, so any output can be reproduced
-byte for byte from the manifest alone.
+One option table, `OPTIONS`, is the only place a command-line value is
+parsed, defaulted, bounded or required: it gives every option its parser,
+default (`REQUIRED` for one that must be given) and help; `COMMANDS` lists
+the options each subcommand takes. The tables build the flags (``--b-step``
+sets ``b_step``), and `resolve_options` reads a flat ``key = value`` config
+file or a previously written run manifest, whose keys are the option names.
+Keys a command does not take are rejected, flags win over the file, and
+every value, flag or file, goes through its option's parser. The parsers
+bound only what the command line alone owns (`bins`, the least `count`);
+every other range check stays with the library (`SimConfig`, `GridSpec`,
+`sample_dmin_pdf`, and the simulator's thread pool for `threads`). `main`
+resolves the options and loads the constellation once, for every command.
+Every file-producing command writes a JSON manifest next to its outputs
+with the resolved options, so any output can be reproduced byte for byte
+from the manifest alone.
 
 Exit codes: 0 success / check passed, 1 domain failure (diversity fail,
 infeasible design or codebook), 2 usage, configuration, or I/O error.
@@ -50,7 +55,7 @@ from .simulator import (
 
 _PRESET_RE = re.compile(r"^(\d+)[xX](\d+)$")
 _MAX_SNR_POINTS = 10000
-_MAX_BINS = 1 << 16
+REQUIRED = object()  # the default of an option that must be given
 
 
 def _fmt(value) -> str:
@@ -96,6 +101,15 @@ def _parse_bool(text: str) -> bool:
     raise ConfigurationError(f"expected a boolean, got {text!r}")
 
 
+def _int_in(lo: int, hi: float = float("inf")):
+    """Parser of an integer in [lo, hi]."""
+    def parse(text) -> int:
+        if not lo <= (n := int(text)) <= hi:
+            raise ValueError(f"must lie in [{lo}, {hi}], got {n}")
+        return n
+    return parse
+
+
 # name -> (parser, default, flag help); a _parse_bool option is a switch flag
 OPTIONS = {
     "config": (str, None, "flat key=value config file or a run manifest JSON"),
@@ -104,19 +118,19 @@ OPTIONS = {
     "out": (str, None, "output file path"),
     "nr": (int, 1, "receive antennas (default 1)"),
     "seed": (int, 0, "simulation seed in [0, 2**128) (default 0)"),
-    "threads": (int, None, "worker threads (default: FDPRECODE_THREADS or all cores)"),
+    "threads": (int, os.cpu_count() or 1, "worker threads (default: all cores)"),
     "plot": (_parse_bool, None, "also write an SVG plot"),
-    "snr": (parse_snr_grid, None, "SNR grid in dB: A:B:STEP or comma list"),
+    "snr": (parse_snr_grid, REQUIRED, "SNR grid in dB: A:B:STEP or comma list"),
     "trials": (int, 100000, "max trials per SNR point"),
     "target_errors": (int, None, "stop a point early once this many errors are seen"),
     "scheme": (str, "proposed", "proposed (default) or unprecoded_vblast baseline"),
     "noiseless": (_parse_bool, False, "disable noise (sanity runs)"),
     "tol": (float, 1e-12, "distinctness tolerance (default 1e-12)"),
-    "budget": (float, None, "average-energy budget"),
+    "budget": (float, REQUIRED, "average-energy budget"),
     "b_step": (float, 0.025, "scale grid step over (0, 1] (default 0.025)"),
     "phi_step": (float, np.pi / 36, "rotation grid step in radians (default pi/36)"),
-    "count": (int, 100000, "number of channel draws (default 100000)"),
-    "bins": (int, 60, "histogram bins (default 60)"),
+    "count": (_int_in(KS_MIN_SAMPLES), 100000, "number of channel draws (default 100000)"),
+    "bins": (_int_in(1, 1 << 16), 60, "histogram bins (default 60)"),
     # no flag: recorded from the loaded constellation, see DERIVED
     "nt": (int, None, None),
     "bits": (int, None, None),
@@ -174,8 +188,10 @@ def read_config_file(path: str) -> dict:
 def resolve_options(args) -> dict:
     """The command's options: defaults, then the config file, then the flags.
 
-    A config key the command does not take is an error. Every given value
-    goes through its OPTIONS parser; one it refuses is an error naming the key.
+    A config key the command does not take is an error, and so is a REQUIRED
+    option left out. Every given value goes through its OPTIONS parser; one it
+    refuses is an error naming the key. A check-constellation target names
+    the preset or the constellation file, so it may come with neither.
     """
     names = [n for n in COMMANDS[args.command][1] if n not in _LOCAL]
     given = read_config_file(args.config) if args.config else {}
@@ -187,49 +203,39 @@ def resolve_options(args) -> dict:
         if key not in names and key not in DERIVED.get(args.command, ()):
             raise ConfigurationError(f"{args.config}: unknown key {key!r} for {args.command}")
     given.update((n, getattr(args, n)) for n in names if getattr(args, n) is not None)
-    options = {n: OPTIONS[n][1] for n in names if OPTIONS[n][1] is not None}
+    if target := getattr(args, "target", None):
+        if "preset" in given or "constellation_file" in given:
+            raise ConfigurationError(f"target {target!r} names a constellation, so give "
+                                     "no preset or constellation_file as well")
+        given["preset" if _PRESET_RE.match(target) else "constellation_file"] = target
+    options = {n: OPTIONS[n][1] for n in names if OPTIONS[n][1] not in (None, REQUIRED)}
     for key, value in given.items():
         try:
             options[key] = OPTIONS[key][0](value)
         except (TypeError, ValueError) as e:
             raise ConfigurationError(f"{key}: {e}") from None
+    for n in names:
+        if n not in options and OPTIONS[n][1] is REQUIRED:
+            raise ConfigurationError(f"no {n} given ({OPTIONS[n][2]}): "
+                                     f"use --{n.replace('_', '-')} or a config entry")
     return options
 
 
-def _load_sets(options, command=None):
+def _load_sets(options, command):
     """The constellation the options name; fills in and checks the DERIVED keys."""
-    has_preset = "preset" in options
-    has_file = "constellation_file" in options
-    if has_preset and has_file:
+    if "preset" in options and "constellation_file" in options:
         raise ConfigurationError("give either a preset or a constellation file, not both")
-    if has_preset:
-        nt, bits = parse_preset_id(options["preset"])
-        sets, source = preset(nt, bits), f"preset:{nt}x{bits}"
-    elif has_file:
-        sets, source = load_constellation(options["constellation_file"]), options["constellation_file"]
+    if "preset" in options:
+        sets = preset(*parse_preset_id(options["preset"]))
+    elif "constellation_file" in options:
+        sets = load_constellation(options["constellation_file"])
     else:
         raise ConfigurationError("no constellation given: use --preset or a constellation file")
     facts = {"nt": sets.nt, "bits": sets.bits_per_symbol}
     for key in DERIVED.get(command, ()):
         if options.setdefault(key, facts[key]) != facts[key]:
             raise ConfigurationError(f"{key} is {options[key]!r}, but this run has {facts[key]!r}")
-    return sets, source
-
-
-def _threads(options) -> int:
-    if "threads" in options:
-        name, value = "threads", options["threads"]
-    else:
-        name, value = "FDPRECODE_THREADS", os.environ.get("FDPRECODE_THREADS")
-        if not value:
-            return os.cpu_count() or 1
-    try:
-        n = int(value)
-    except (TypeError, ValueError):
-        n = 0
-    if n < 1:
-        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
-    return n
+    return sets
 
 
 def _out_path(args, default: str) -> str:
@@ -264,36 +270,39 @@ def write_manifest(out_path: str, command: str, config: dict, outputs: list) -> 
     return path
 
 
-def cmd_simulate(args) -> int:
-    options = resolve_options(args)
-    sets, _ = _load_sets(options, "simulate")
-    if "snr" not in options:
-        raise ConfigurationError("no SNR grid given: use --snr A:B:STEP or a config entry")
+def _write_csv(path: str, header: str, rows) -> None:
+    with open(path, "w", encoding="ascii", newline="\n") as f:
+        f.write(header + "\n")
+        f.writelines(",".join(map(_fmt, row)) + "\n" for row in rows)
+
+
+def _finish(out: str, command: str, options: dict, svg: str | None = None) -> None:
+    """Write the SVG, if any, beside `out`, then the manifest, and say what was written."""
+    outputs = [out]
+    if svg is not None:
+        outputs.append(os.path.splitext(out)[0] + ".svg")
+        with open(outputs[1], "w", encoding="utf-8") as f:
+            f.write(svg)
+    manifest = write_manifest(out, command, options, outputs)
+    print(f"wrote {', '.join(outputs)} (manifest: {manifest})")
+
+
+def cmd_simulate(args, options, sets) -> int:
     cfg = SimConfig(nr=options["nr"], constellation=sets,
                     snr_grid_db=options["snr"], trials_per_point=options["trials"],
                     seed=options["seed"], scheme=options["scheme"],
                     target_errors=options.get("target_errors"), noiseless=options["noiseless"])
     out = _out_path(args, "cer.csv")
-    curve = run_cer_sweep(cfg, threads=_threads(options))
-
-    with open(out, "w", encoding="ascii", newline="\n") as f:
-        f.write("snr_db,trials,errors,cer,ci_lo,ci_hi\n")
-        for k in range(curve.snr_db.size):
-            f.write(f"{_fmt(float(curve.snr_db[k]))},{int(curve.trials[k])},"
-                    f"{int(curve.errors[k])},{_fmt(float(curve.cer[k]))},"
-                    f"{_fmt(float(curve.ci_lo[k]))},{_fmt(float(curve.ci_hi[k]))}\n")
-    outputs = [out]
+    curve = run_cer_sweep(cfg, threads=options["threads"])
+    _write_csv(out, "snr_db,trials,errors,cer,ci_lo,ci_hi",
+               zip(curve.snr_db, curve.trials, curve.errors, curve.cer, curve.ci_lo, curve.ci_hi))
+    svg = None
     if args.plot and not curve.errors.any():
         print("note: no SNR point has an error, so there is no CER to plot", file=sys.stderr)
     elif args.plot:
-        svg_path = os.path.splitext(out)[0] + ".svg"
         title = f"{cfg.nt}x{cfg.nr} CER, {cfg.bits_per_symbol} bits/symbol, {cfg.scheme}"
         svg = svgplot.cer_plot(curve.snr_db, curve.cer, cfg.nt * cfg.nr, title)
-        with open(svg_path, "w", encoding="utf-8") as f:
-            f.write(svg)
-        outputs.append(svg_path)
-    manifest = write_manifest(out, "simulate", options, outputs)
-    print(f"wrote {', '.join(outputs)} (manifest: {manifest})")
+    _finish(out, "simulate", options, svg)
     try:
         slope = estimate_diversity_slope(curve, (1e-4, 1e-2))
         print(f"diversity slope over CER [1e-4, 1e-2]: {slope:.2f}")
@@ -302,23 +311,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_check_constellation(args) -> int:
-    options = resolve_options(args)
-    if args.target:
-        if "preset" in options or "constellation_file" in options:
-            raise ConfigurationError(f"target {args.target!r} names a constellation, so give "
-                                     "no preset or constellation_file as well")
-        key = "preset" if _PRESET_RE.match(args.target) else "constellation_file"
-        options[key] = args.target
-    sets, source = _load_sets(options)
+def cmd_check_constellation(args, options, sets) -> int:
     tol = options["tol"]
     report = check_full_diversity(sets, tol)
-    print(f"constellation: {source} (nt={sets.nt}, {sets.bits_per_symbol} bits/symbol)")
-    if source.startswith("preset:"):
-        key = parse_preset_id(source.split(":", 1)[1])
-        if key in UNVERIFIED_PRESETS:
-            print("note: this preset ships unverified; it fails sum-injectivity under "
-                  "the odd-integer QAM level convention")
+    nt, bits = sets.nt, sets.bits_per_symbol
+    source = f"preset:{nt}x{bits}" if "preset" in options else options["constellation_file"]
+    print(f"constellation: {source} (nt={nt}, {bits} bits/symbol)")
+    if "preset" in options and (nt, bits) in UNVERIFIED_PRESETS:
+        print("note: this preset ships unverified; it fails sum-injectivity under "
+              "the odd-integer QAM level convention")
     print(f"average energy: {average_energy(sets):.10g}")
     print(f"min sum distance: {report.min_sum_distance:.10g} "
           f"({report.pairs_checked} codeword pairs checked)")
@@ -333,60 +334,41 @@ def cmd_check_constellation(args) -> int:
     return 1
 
 
-def cmd_optimize_constellation(args) -> int:
-    options = resolve_options(args)
-    base, _ = _load_sets(options)
-    if "budget" not in options:
-        raise ConfigurationError("power budget required: use --budget")
+def cmd_optimize_constellation(args, options, base) -> int:
     grid = GridSpec(b_step=options["b_step"], phi_step=options["phi_step"])
     out = _out_path(args, "optimized.txt")
     result = optimize_rotations_scalings(base, grid, options["budget"])
     save_constellation(result.sets, out)
-    manifest = write_manifest(out, "optimize-constellation", options, [out])
     for i in range(base.nt):
         print(f"set {i + 1}: b = {_fmt(float(result.scales[i]))}, "
               f"phi = {_fmt(float(result.rotations[i]))} rad")
     print(f"achieved min sum distance: {_fmt(result.min_sum_distance)}")
-    print(f"wrote {out} (manifest: {manifest})")
+    _finish(out, "optimize-constellation", options)
     return 0
 
 
-def cmd_dmin_pdf(args) -> int:
-    options = resolve_options(args)
-    sets, _ = _load_sets(options, "dmin-pdf")
-    if not 1 <= options["bins"] <= _MAX_BINS:
-        raise ConfigurationError(f"bins must lie in [1, {_MAX_BINS}], got {options['bins']}")
-    if options["count"] < KS_MIN_SAMPLES:
-        raise ConfigurationError(f"count must be >= {KS_MIN_SAMPLES}, got {options['count']}")
+def cmd_dmin_pdf(args, options, sets) -> int:
     nt, nr = sets.nt, options["nr"]
     out = _out_path(args, "dmin_pdf.csv")
-    samples = sample_dmin_pdf(nt, nr, options["seed"], options["count"], threads=_threads(options))
+    samples = sample_dmin_pdf(nt, nr, options["seed"], options["count"], threads=options["threads"])
     samples.sort()  # in place, once: the KS test takes sorted input as is; counts ignore order
     dof = 2 * nt * nr
     stat, p_value = ks_test_chisq(samples, dof)
 
     counts, edges = np.histogram(samples, bins=options["bins"])
     density = counts / (samples.size * np.diff(edges))
-    with open(out, "w", encoding="ascii", newline="\n") as f:
-        f.write("bin_lo,bin_hi,count,density\n")
-        for lo, hi, c, d in zip(edges[:-1], edges[1:], counts, density):
-            f.write(f"{_fmt(float(lo))},{_fmt(float(hi))},{int(c)},{_fmt(float(d))}\n")
-    outputs = [out]
+    _write_csv(out, "bin_lo,bin_hi,count,density", zip(edges[:-1], edges[1:], counts, density))
+    svg = None
     if args.plot:
         from scipy.special import gammaln
 
         xs = np.linspace(max(edges[0], 1e-9), edges[-1], 400)
         half = dof / 2.0
         pdf = np.exp((half - 1) * np.log(xs) - xs / 2.0 - half * np.log(2.0) - gammaln(half))
-        svg_path = os.path.splitext(out)[0] + ".svg"
-        with open(svg_path, "w", encoding="utf-8") as f:
-            f.write(svgplot.histogram_plot(
-                edges, density, xs, pdf, f"normalized d^2_min, {nt}x{nr}",
-                overlay_label=f"chi-square pdf, {dof} dof"))
-        outputs.append(svg_path)
-    manifest = write_manifest(out, "dmin-pdf", options, outputs)
+        svg = svgplot.histogram_plot(edges, density, xs, pdf, f"normalized d^2_min, {nt}x{nr}",
+                                     overlay_label=f"chi-square pdf, {dof} dof")
     print(f"KS statistic = {stat:.6g}, p-value = {p_value:.6g}, dof = {dof}")
-    print(f"wrote {', '.join(outputs)} (manifest: {manifest})")
+    _finish(out, "dmin-pdf", options, svg)
     return 0
 
 
@@ -415,10 +397,10 @@ def main(argv=None) -> int:
         # load it before the parser and the batch arrays: first loaded mid-batch, its
         # long-lived objects can pin the heap top, and a later 2-thread call peaks higher
         import scipy.special  # noqa: F401
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        options = resolve_options(args)
+        return args.func(args, options, _load_sets(options, args.command))
     except ConfigurationError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

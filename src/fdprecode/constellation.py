@@ -218,12 +218,12 @@ def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
     cells of side s = max(sqrt(w h / n), max(w, h) / n) for a w x h bounding
     box, so O(n) cells even for collinear points. Each point is compared
     with the later points of its own cell and every point of the four cells
-    ahead, so every pair closer than s is evaluated once. When the best pair
-    found is not certifiably closer than s, one more pass at side = that
-    distance is exact. Every candidate distance is abs() of the complex
-    difference, so the result is bit-identical to an exhaustive pair scan.
-    On lattice-like sums a pass is linear; a dense cluster inside one cell
-    costs its pairs squared.
+    ahead (two runs of the cell-sorted points), so every pair closer than s
+    is evaluated once. When the best pair found is not certifiably closer
+    than s, one more pass at side = that distance is exact. Every candidate
+    distance is abs() of the complex difference, so the result is
+    bit-identical to an exhaustive pair scan. On lattice-like sums a pass is
+    linear; a dense cluster inside one cell costs its pairs squared.
     """
     n = points.size
     if n < 2:
@@ -259,15 +259,15 @@ def _grid_closest(points: np.ndarray, side: float) -> tuple[float, int, int]:
     key += cx * ny
     order = np.argsort(key, kind="stable")
     sp, key = points[order], key[order]
-    occupancy = np.bincount(key, minlength=(int(cx[order[-1]]) + 2) * ny)
+    ends = np.cumsum(np.bincount(key, minlength=(int(cx[order[-1]]) + 2) * ny))
     del cx
-    ends = np.cumsum(occupancy)
-    ahead = (1, ny - 1, ny, ny + 1)  # cells (0, +1), (+1, -1), (+1, 0), (+1, +1)
-    # candidates of the point at sorted position r: the rest of its own cell,
-    # then each cell ahead; each chunk of rows holds about _PAIR_CHUNK pairs
-    cum = ends[key] - np.arange(1, n + 1)
-    for o in ahead:
-        cum += occupancy[key + o]
+    # candidates of the point at sorted position r, two runs in key order: the
+    # rest of its own cell and the cell above, up to ends[key + 1], and the next
+    # column's three cells, ends[key + ny - 2] to ends[key + ny + 1]; each
+    # chunk of rows holds about _PAIR_CHUNK pairs
+    cum = ends[key + 1] - np.arange(1, n + 1)
+    cum += ends[key + ny + 1]
+    cum -= ends[key + ny - 2]
     np.cumsum(cum, out=cum)
     best, bi, bj = np.inf, -1, -1
     lo = 0
@@ -276,13 +276,13 @@ def _grid_closest(points: np.ndarray, side: float) -> tuple[float, int, int]:
         hi = max(lo + 1, int(np.searchsorted(cum, base + _PAIR_CHUNK, side="right")))
         r = np.arange(lo, hi)
         k = key[lo:hi]
-        first = np.concatenate([r + 1] + [ends[k + o] - occupancy[k + o] for o in ahead])
-        count = np.concatenate([ends[k] - r - 1] + [occupancy[k + o] for o in ahead])
+        first = np.concatenate([r + 1, ends[k + ny - 2]])
+        count = np.concatenate([ends[k + 1] - r - 1, ends[k + ny + 1] - ends[k + ny - 2]])
         total = int(cum[hi - 1] - base)
         lo = hi
         if total == 0:
             continue
-        a = np.repeat(np.tile(r, 1 + len(ahead)), count)
+        a = np.repeat(np.tile(r, 2), count)
         b = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
         d = np.abs(sp[a] - sp[b])
         m = int(np.argmin(d))

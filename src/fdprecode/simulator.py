@@ -23,6 +23,7 @@ import concurrent.futures
 import contextlib
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,6 +185,8 @@ class _Engine:
 
 def _pool(threads: int):
     """Context giving a thread pool for threads > 1, else None (the calling thread)."""
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise ConfigurationError(f"threads must be a positive integer, got {threads!r}")
     if threads > 1:
         return concurrent.futures.ThreadPoolExecutor(max_workers=threads)
     return contextlib.nullcontext()
@@ -212,10 +215,10 @@ def run_cer_sweep(cfg: SimConfig, threads: int = 1) -> CerCurve:
     the first fixed-size trial group whose cumulative error count reaches
     the target (still capped by trials_per_point).
     """
-    engine = _Engine(cfg)
     trials = np.zeros(len(cfg.snr_grid_db), dtype=np.int64)
     errors = np.zeros(len(cfg.snr_grid_db), dtype=np.int64)
     with _pool(threads) as pool:
+        engine = _Engine(cfg)
         for k, snr_db in enumerate(cfg.snr_grid_db):
             sigma2 = cfg.sigma2(snr_db)
             run = functools.partial(engine.run_batch, k, sigma2)

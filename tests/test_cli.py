@@ -253,32 +253,24 @@ def test_dmin_pdf_rejects_zero_bins(tmp_path, capsys):
     assert "bins" in capsys.readouterr().err
 
 
-def test_threads_env_fallback(monkeypatch):
-    from fdprecode.cli import _threads
-    monkeypatch.setenv("FDPRECODE_THREADS", "3")
-    assert _threads({}) == 3
-    assert _threads({"threads": "5"}) == 5
-    monkeypatch.delenv("FDPRECODE_THREADS")
-    assert _threads({}) >= 1
-    for bad in (0, -2, "0", "x", "2.5", None):
-        with pytest.raises(ConfigurationError, match="threads must be a positive integer"):
-            _threads({"threads": bad})
-    for bad in ("0", "-1", "x"):
-        monkeypatch.setenv("FDPRECODE_THREADS", bad)
-        with pytest.raises(ConfigurationError, match="FDPRECODE_THREADS"):
-            _threads({})
-
-
-def test_bad_thread_counts_exit_2(tmp_path, monkeypatch, capsys):
+def test_bad_thread_counts_exit_2(tmp_path, capsys):
     argv = ["simulate", "--preset", "3x1", "--snr", "10", "--trials", "64",
             "--out", tmp_path / "c.csv"]
-    assert run(argv + ["--threads", "0"]) == 2
-    assert "threads must be a positive integer" in capsys.readouterr().err
-    assert run(argv + ["--threads", "-3"]) == 2
-    monkeypatch.setenv("FDPRECODE_THREADS", "x")
-    assert run(argv) == 2
-    assert "FDPRECODE_THREADS" in capsys.readouterr().err
+    # a count the option parser reads is refused by the simulator's thread pool
+    for value, message in (("0", "threads must be a positive integer"),
+                           ("-3", "threads must be a positive integer"),
+                           ("x", "threads: "), ("2.5", "threads: ")):
+        assert run(argv + ["--threads", value]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + message), err
     assert not (tmp_path / "c.csv").exists()
+
+
+def test_threads_environment_variable_is_not_read(tmp_path, monkeypatch):
+    # the thread count comes only from --threads or a config key
+    monkeypatch.setenv("FDPRECODE_THREADS", "x")
+    assert run(["simulate", "--preset", "3x1", "--snr", "10", "--trials", "64",
+                "--out", tmp_path / "c.csv"]) == 0
 
 
 @pytest.mark.parametrize("argv", [
@@ -373,13 +365,18 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
     (["check-constellation", "3x1", "--preset", "4x1"], None, "preset"),
     (["check-constellation", "nofile.txt", "--preset", "3x2"], None, "preset"),
     (["check-constellation", "3x1"], "constellation_file = nofile.txt\n", "preset"),
+    (["dmin-pdf", "--preset", "3x1", "--count", "1000"], "bins = 0\n", "bins"),
+    (["dmin-pdf", "--preset", "3x1"], "count = 50\n", "count"),
+    (["simulate", "--preset", "3x1", "--snr", "10", "--trials", "64"], "threads = 0\n", "threads"),
+    (["dmin-pdf", "--preset", "3x1", "--count", "1000"], "threads = 0\n", "threads"),
 ], ids=["empty-snr-item", "trials-abc", "truncated-manifest", "snr-nan", "snr-huge",
         "snr-tiny", "unknown-key",
         "negative-seed", "wide-seed", "old-optimize-manifest", "tol-negative", "tol-nan",
         "budget-nan", "budget-inf", "b-step-tiny", "phi-step-tiny", "bins-huge",
         "count-huge", "dmin-count-small", "dmin-negative-seed", "dmin-wide-seed", "dmin-nr-zero", "dmin-scheme-baseline",
         "nr-huge", "dmin-nr-huge",
-        "check-target-and-preset", "check-file-target-and-preset", "check-target-and-config-file"])
+        "check-target-and-preset", "check-file-target-and-preset", "check-target-and-config-file",
+        "config-bins-zero", "config-count-small", "config-threads-zero", "dmin-config-threads-zero"])
 def test_bad_input_exits_2_naming_the_key(tmp_path, capsys, argv, config, key):
     written = []
     if config is not None:

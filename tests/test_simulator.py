@@ -216,6 +216,14 @@ def test_dmin_threads_identical():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("threads", [0, -2, -3, 2.5, None, "0", "x", "2.5"])
+def test_bad_thread_counts_raise_configuration_error(threads):
+    with pytest.raises(ConfigurationError, match="threads must be a positive integer"):
+        run_cer_sweep(small_config(), threads=threads)
+    with pytest.raises(ConfigurationError, match="threads must be a positive integer"):
+        sample_dmin_pdf(3, 1, 0, 1000, threads=threads)
+
+
 # ------------------------------------------------------------------- KS test
 
 def test_ks_self_consistency():
