@@ -22,7 +22,6 @@ from .constellation import (
     check_full_diversity,
     geometric_qam_family,
     load_constellation,
-    min_sum_distance,
     optimize_rotations_scalings,
     preset,
     qam_points,
@@ -45,7 +44,7 @@ from .simulator import (
 __all__ = [
     "ConstellationSets", "DiversityReport", "GridSpec", "OptimizationResult",
     "average_energy", "check_full_diversity",
-    "geometric_qam_family", "load_constellation", "min_sum_distance",
+    "geometric_qam_family", "load_constellation",
     "optimize_rotations_scalings", "preset", "qam_points", "save_constellation",
     "sum_constellation", "FastMLDecoder",
     "ConfigurationError", "EnumerationBudgetError", "InfeasibleDesignError",

@@ -7,7 +7,8 @@ default (`REQUIRED` for one that must be given) and help; `COMMANDS` lists
 the options each subcommand takes. The tables build the flags (``--b-step``
 sets ``b_step``), and `resolve_options` reads a flat ``key = value`` config
 file or a previously written run manifest, whose keys are the option names.
-Keys a command does not take are rejected, flags win over the file, and
+Keys a command does not take are rejected (older manifests may carry a
+`_RETIRED` key with its one old value), flags win over the file, and
 every value, flag or file, goes through its option's parser. The parsers
 bound only what the command line alone owns (`bins`, the least `count`);
 every other range check stays with the library (`SimConfig`, `GridSpec`,
@@ -34,6 +35,7 @@ import scipy
 
 from . import __version__, svgplot
 from .constellation import (
+    DEFAULT_DISTINCT_TOL,
     UNVERIFIED_PRESETS,
     GridSpec,
     average_energy,
@@ -92,15 +94,6 @@ def parse_snr_grid(text: str):
     return tuple(float(p) for p in text.split(","))
 
 
-def _parse_bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigurationError(f"expected a boolean, got {text!r}")
-
-
 def _int_in(lo: int, hi: float = float("inf")):
     """Parser of an integer in [lo, hi]."""
     def parse(text) -> int:
@@ -110,7 +103,7 @@ def _int_in(lo: int, hi: float = float("inf")):
     return parse
 
 
-# name -> (parser, default, flag help); a _parse_bool option is a switch flag
+# name -> (parser, default, flag help); a bool option is a switch flag
 OPTIONS = {
     "config": (str, None, "flat key=value config file or a run manifest JSON"),
     "preset": (str, None, "built-in constellation, NTxBITS (e.g. 3x1)"),
@@ -119,13 +112,11 @@ OPTIONS = {
     "nr": (int, 1, "receive antennas (default 1)"),
     "seed": (int, 0, "simulation seed in [0, 2**128) (default 0)"),
     "threads": (int, os.cpu_count() or 1, "worker threads (default: all cores)"),
-    "plot": (_parse_bool, None, "also write an SVG plot"),
+    "plot": (bool, None, "also write an SVG plot"),
     "snr": (parse_snr_grid, REQUIRED, "SNR grid in dB: A:B:STEP or comma list"),
     "trials": (int, 100000, "max trials per SNR point"),
     "target_errors": (int, None, "stop a point early once this many errors are seen"),
     "scheme": (str, "proposed", "proposed (default) or unprecoded_vblast baseline"),
-    "noiseless": (_parse_bool, False, "disable noise (sanity runs)"),
-    "tol": (float, 1e-12, "distinctness tolerance (default 1e-12)"),
     "budget": (float, REQUIRED, "average-energy budget"),
     "b_step": (float, 0.025, "scale grid step over (0, 1] (default 0.025)"),
     "phi_step": (float, np.pi / 36, "rotation grid step in radians (default pi/36)"),
@@ -142,8 +133,8 @@ _RUN = ("out", "nr", "seed", "threads", "plot")
 # subcommand -> (help, option names in flag order)
 COMMANDS = {
     "simulate": ("run a CER-vs-SNR sweep", _SOURCE + _RUN + (
-        "snr", "trials", "target_errors", "scheme", "noiseless")),
-    "check-constellation": ("exhaustive full-diversity check", _SOURCE + ("tol",)),
+        "snr", "trials", "target_errors", "scheme")),
+    "check-constellation": ("exhaustive full-diversity check", _SOURCE),
     "optimize-constellation": ("grid-search scalings and rotations for a base design",
                                _SOURCE + ("out", "budget", "b_step", "phi_step")),
     "dmin-pdf": ("sample the normalized d^2_min distribution", _SOURCE + _RUN + ("count", "bins")),
@@ -154,7 +145,8 @@ DERIVED = {"simulate": ("nt", "bits"), "dmin-pdf": ("nt", "bits")}
 
 # keys older manifests recorded that the command no longer takes: a config may
 # repeat one only with the value it always had, and it is not recorded again
-_RETIRED = {"dmin-pdf": {"scheme": "proposed"}}
+# (dmin-pdf used no scheme; simulate now always adds noise)
+_RETIRED = {"dmin-pdf": {"scheme": "proposed"}, "simulate": {"noiseless": "False"}}
 
 # flags for this invocation's own files, never read from a config
 _LOCAL = ("config", "out", "plot")
@@ -291,7 +283,7 @@ def cmd_simulate(args, options, sets) -> int:
     cfg = SimConfig(nr=options["nr"], constellation=sets,
                     snr_grid_db=options["snr"], trials_per_point=options["trials"],
                     seed=options["seed"], scheme=options["scheme"],
-                    target_errors=options.get("target_errors"), noiseless=options["noiseless"])
+                    target_errors=options.get("target_errors"))
     out = _out_path(args, "cer.csv")
     curve = run_cer_sweep(cfg, threads=options["threads"])
     _write_csv(out, "snr_db,trials,errors,cer,ci_lo,ci_hi",
@@ -312,8 +304,7 @@ def cmd_simulate(args, options, sets) -> int:
 
 
 def cmd_check_constellation(args, options, sets) -> int:
-    tol = options["tol"]
-    report = check_full_diversity(sets, tol)
+    report = check_full_diversity(sets)
     nt, bits = sets.nt, sets.bits_per_symbol
     source = f"preset:{nt}x{bits}" if "preset" in options else options["constellation_file"]
     print(f"constellation: {source} (nt={nt}, {bits} bits/symbol)")
@@ -323,10 +314,10 @@ def cmd_check_constellation(args, options, sets) -> int:
     print(f"average energy: {average_energy(sets):.10g}")
     print(f"min sum distance: {report.min_sum_distance:.10g} "
           f"({report.pairs_checked} codeword pairs checked)")
+    print(f"full diversity: {'PASS' if report.passes else 'FAIL'} "
+          f"(tolerance {DEFAULT_DISTINCT_TOL:g})")
     if report.passes:
-        print(f"full diversity: PASS (tolerance {tol:g})")
         return 0
-    print(f"full diversity: FAIL (tolerance {tol:g})")
     if report.witness:
         a, b = report.witness
         print(f"witness: codewords {a} and {b} have sum difference "
@@ -385,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("target", nargs="?", help="preset id (NTxBITS) or constellation file")
         for name in names:
             parse, _, flag_help = OPTIONS[name]
-            switch = {"action": "store_true", "default": None} if parse is _parse_bool else {}
+            switch = {"action": "store_true", "default": None} if parse is bool else {}
             p.add_argument("--" + name.replace("_", "-"), dest=name, help=flag_help, **switch)
         p.set_defaults(func=globals()["cmd_" + command.replace("-", "_")])
     return parser

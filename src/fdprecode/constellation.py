@@ -292,30 +292,23 @@ def _grid_closest(points: np.ndarray, side: float) -> tuple[float, int, int]:
     return best, bi, bj
 
 
-def check_full_diversity(cs: ConstellationSets, tol: float = DEFAULT_DISTINCT_TOL) -> DiversityReport:
+def check_full_diversity(cs: ConstellationSets) -> DiversityReport:
     """Exhaustive sum-injectivity check: passes iff all codeword sums are
-    pairwise farther apart than `tol`.
+    pairwise farther apart than DEFAULT_DISTINCT_TOL, the rule FastMLDecoder
+    and the optimizer apply, so a passing set is one the simulator decodes.
 
     min_sum_distance is the minimum over distinct codeword pairs of
-    |sum_i dx_i| (0 when two codewords collide); the witness is a pair of
-    per-antenna index tuples attaining it.
+    |sum_i dx_i| (the coding-gain metric, 0 when two codewords collide);
+    the witness is a pair of per-antenna index tuples attaining it.
     """
-    if not 0 <= tol < np.inf:
-        raise ConfigurationError(f"tol must lie in [0, inf), got {tol}")
     d, i, j = _min_pairwise(sum_constellation(cs))
     n = cs.codebook_size
     witness = None
     if i >= 0:
         digits = np.unravel_index([i, j], (1 << cs.bits_per_symbol,) * cs.nt)
         witness = tuple(tuple(int(v) for v in w) for w in zip(*digits))
-    return DiversityReport(passes=bool(d > tol), min_sum_distance=float(d),
+    return DiversityReport(passes=bool(d > DEFAULT_DISTINCT_TOL), min_sum_distance=float(d),
                            witness=witness, pairs_checked=n * (n - 1) // 2)
-
-
-def min_sum_distance(cs: ConstellationSets) -> float:
-    """Minimum |sum_i dx_i| over distinct codeword pairs (the coding-gain metric)."""
-    d, _, _ = _min_pairwise(sum_constellation(cs))
-    return float(d)
 
 
 def average_energy(cs: ConstellationSets) -> float:
@@ -353,8 +346,9 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
 
     The result reports the achieved min_sum_distance, so coarse grids are
     honest about what they found: the last stage's winner was scored on
-    exactly the final sums. Raises InfeasibleDesignError when some stage
-    has no feasible grid point.
+    exactly the final sums, and with one set, where no stage runs, it is
+    set 1's own spacing. Raises InfeasibleDesignError when some stage has
+    no feasible grid point.
     """
     if not 0 < power_budget < np.inf:
         raise ConfigurationError(f"power budget must be positive and finite, got {power_budget}")
@@ -366,7 +360,7 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
     rotations = np.zeros(base.nt)
     prefix = np.array(base.sets[0], dtype=complex)
     spent = energies[0]
-    best_val = None
+    best_val, _, _ = _min_pairwise(prefix)  # the result for nt = 1, where no stage runs
     if spent > power_budget:
         raise InfeasibleDesignError(
             f"no full-diversity point found: set 1 alone needs energy {spent:g} > budget {power_budget:g}")
@@ -399,11 +393,8 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
     # the w * c products the stages scored, summed in the same order, so the
     # last winner's distance is exactly these sets' min_sum_distance
     final = tuple(scales[i] * np.exp(1j * rotations[i]) * base.sets[i] for i in range(base.nt))
-    result_sets = ConstellationSets(final, base.bits_per_symbol)
-    if base.nt == 1:  # no stage ran
-        best_val = min_sum_distance(result_sets)
-    return OptimizationResult(sets=result_sets, scales=scales, rotations=rotations,
-                              min_sum_distance=best_val)
+    return OptimizationResult(sets=ConstellationSets(final, base.bits_per_symbol), scales=scales,
+                              rotations=rotations, min_sum_distance=best_val)
 
 
 def _all_pairs_minima(prefix: np.ndarray, c: np.ndarray, ws: list) -> np.ndarray:

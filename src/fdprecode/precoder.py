@@ -32,13 +32,12 @@ def feedback_angles_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exactly, and h_eff (B, nr) is H a. For n >= 1, z = h_n^H s with
     s = sum_{m<n} a_m h_m, and a_n = -1j * z / |z| zeroes Re(conj(a_n) z),
     the root theta_n = atan2(-Re z, Im z) (theta_2 = alpha[2,1] - pi/2 for
-    n = 1); a_n is exactly 1 where |z| is below `_DEGENERATE_EPS`.
+    n = 1); a_n is exactly 1 where |z| is below `_DEGENERATE_EPS`. With
+    nt = 1 no angle is fed back: a == 1 and h_eff == h[:, :, 0].
     """
     if h.ndim != 3:
         raise ConfigurationError(f"channel batch must be 3-D, got shape {h.shape}")
     b, _, nt = h.shape
-    if nt < 2:
-        raise ConfigurationError(f"feedback angles need nt >= 2, got {nt}")
     cols = np.ascontiguousarray(np.moveaxis(h, 2, 0), dtype=complex)  # (nt, B, nr)
     a = np.ones((nt, b), dtype=complex)
     s = cols[0].copy()

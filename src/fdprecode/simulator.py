@@ -71,7 +71,6 @@ class SimConfig:
     seed: int
     scheme: str = "proposed"
     target_errors: int | None = None
-    noiseless: bool = False
 
     def __post_init__(self):
         _check_run(self.nt, self.nr, self.seed, self.words_per_trial)
@@ -165,11 +164,8 @@ class _Engine:
                                    cfg.words_per_trial)
         h = rayleigh(streams.normal_from_uniform(u[:, :self.n_h]), nr, nt)
         cw = (u[:, self.n_h:self.n_h + nt] * self.m).astype(np.int64)  # u < 1, so cw < m
-        if cfg.noiseless:
-            noise = 0.0
-        else:
-            gn = streams.normal_from_uniform(u[:, self.n_h + nt:])
-            noise = scaled_complex(gn[:, :nr], gn[:, nr:], np.sqrt(sigma2 / 2.0))
+        gn = streams.normal_from_uniform(u[:, self.n_h + nt:])
+        noise = scaled_complex(gn[:, :nr], gn[:, nr:], np.sqrt(sigma2 / 2.0))
         true_idx = np.ravel_multi_index(tuple(cw.T), (self.m,) * nt)
         x = self.symbols[true_idx]
 

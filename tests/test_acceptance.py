@@ -27,7 +27,6 @@ from fdprecode.constellation import (
     GridSpec,
     average_energy,
     check_full_diversity,
-    min_sum_distance,
     optimize_rotations_scalings,
     preset,
     save_constellation,
@@ -300,10 +299,10 @@ def test_criterion_6_table_presets():
     anchors = {(3, 1): 1.35, (4, 2): 0.25}
     for nt, bits in [(3, 1), (3, 2), (4, 1), (4, 2), (8, 1), (8, 2), (16, 1)]:
         cs = preset(nt, bits)
-        rep = check_full_diversity(cs, 1e-12)
+        rep = check_full_diversity(cs)
         assert rep.passes, (nt, bits)
         oracle = exact_min_distance(sum_constellation(cs))
-        module = min_sum_distance(cs)
+        module = rep.min_sum_distance
         assert module == oracle, (nt, bits, module, oracle)
         if (nt, bits) in anchors:
             assert module == pytest.approx(anchors[(nt, bits)], rel=1e-12)
@@ -312,7 +311,7 @@ def test_criterion_6_table_presets():
     assert (1 / 14 + 3 / 28) == (3 / 14 - 1 / 28)
     for nt in (3, 4):
         cs = preset(nt, 4)
-        rep = check_full_diversity(cs, 1e-12)
+        rep = check_full_diversity(cs)
         assert not rep.passes, (nt, 4)
         a, b = rep.witness
         sum_a = sum(cs.sets[i][a[i]] for i in range(nt))
@@ -332,7 +331,7 @@ def test_criterion_7_optimizer_recovery():
     assert abs(result.rotations[2] - np.pi / 4) <= phi_step + 1e-12
     # lone third-set differences move by 2 * b_step per scale step
     assert result.min_sum_distance >= 1.35 - 2 * b_step
-    assert result.min_sum_distance == min_sum_distance(result.sets)
+    assert result.min_sum_distance == check_full_diversity(result.sets).min_sum_distance
     assert elapsed < 60.0, f"took {elapsed:.1f}s"
     report(7, f"optimizer recovery (b, phi) = ({result.scales[2]:.3f}, "
               f"{result.rotations[2]:.4f}) in {elapsed:.1f}s")

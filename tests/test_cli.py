@@ -1,4 +1,7 @@
+import argparse
 import json
+import pathlib
+import re
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -21,8 +24,11 @@ from fdprecode.constellation import (
     ConstellationSets,
     geometric_qam_family,
     load_constellation,
+    qam_points,
     save_constellation,
+    sum_constellation,
 )
+from fdprecode.detector import FastMLDecoder
 from fdprecode.errors import ConfigurationError
 
 
@@ -166,6 +172,21 @@ def test_baseline_budget_error_names_the_proposed_scheme(tmp_path, capsys):
     assert "sum-constellation" not in err
 
 
+def test_simulate_one_antenna_equals_the_baseline(tmp_path):
+    # nt = 1 feeds back no angle, so the precoded link is the unprecoded one
+    path = tmp_path / "one.txt"
+    save_constellation(ConstellationSets((qam_points(4),), 2), path)
+    outs = {}
+    for scheme in ("proposed", "unprecoded_vblast"):
+        outs[scheme] = tmp_path / f"{scheme}.csv"
+        assert run(["simulate", "--constellation-file", path, "--nr", "2", "--snr", "0:12:3",
+                    "--trials", "200000", "--seed", "5", "--scheme", scheme,
+                    "--out", outs[scheme]]) == 0
+    proposed = outs["proposed"].read_text()
+    assert proposed == outs["unprecoded_vblast"].read_text()
+    assert min(int(row.split(",")[2]) for row in proposed.splitlines()[1:]) > 0
+
+
 # --------------------------------------------------------- check-constellation
 
 def test_check_passing_preset(capsys):
@@ -201,6 +222,30 @@ def test_check_custom_file(tmp_path):
     sets = ConstellationSets((np.array([-1.0, 1.0]), np.array([-1j, 1j])), 1)
     save_constellation(sets, p)
     assert run(["check-constellation", p]) == 0
+
+
+@pytest.mark.parametrize("spacing, passes", [(2e-13, False), (1e-11, True)])
+def test_checker_passes_exactly_what_the_simulator_decodes(tmp_path, capsys, spacing, passes):
+    # set 3 is +-p, so the sums of codewords (1, ., -p) and (-1, ., p) lie `spacing` apart
+    p = 1.0 + spacing / 2
+    path = tmp_path / "sets.txt"
+    path.write_text(f"3 1\n1 -1 0\n1 1 0\n2 0 -1\n2 0 1\n3 {-p!r} 0\n3 {p!r} 0\n")
+    sums = sum_constellation(load_constellation(path))
+    assert run(["check-constellation", path]) == (0 if passes else 1)
+    out = capsys.readouterr().out
+    assert float(out.split("min sum distance: ")[1].split()[0]) == pytest.approx(spacing, rel=1e-3)
+    assert ("PASS" in out) == passes and ("witness" in out) != passes
+    csv = tmp_path / "cer.csv"
+    code = run(["simulate", "--constellation-file", path, "--snr", "10", "--trials", "64",
+                "--threads", "1", "--out", csv])
+    if passes:
+        assert code == 0 and csv.exists()
+        FastMLDecoder(sums)
+    else:
+        assert code == 2 and "not injective" in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [path]
+        with pytest.raises(ConfigurationError):
+            FastMLDecoder(sums)
 
 
 # ------------------------------------------------------ optimize-constellation
@@ -327,6 +372,21 @@ def test_dmin_pdf_old_manifest_with_scheme_reruns_identical(tmp_path):
 SIM = ["simulate", "--preset", "3x1", "--trials", "64", "--threads", "1"]
 OPT = ["optimize-constellation", "--preset", "3x1", "--b-step", "0.5"]
 
+# a simulate manifest and its CSV, both as written while simulate took
+# `noiseless`; manifests of that time record noiseless = False
+NOISY_SIMULATE_MANIFEST = {
+    "command": "simulate",
+    "config": {"bits": "1", "noiseless": "False", "nr": "2", "nt": "3", "preset": "3x1",
+               "scheme": "proposed", "seed": "7", "snr": "4.0,6.0,8.0", "trials": "3000"},
+    "outputs": ["lit.csv"], "seed": 7, "timestamp": "2026-10-19T19:33:38.119994+00:00",
+    "tool": "fdprecode", "version": "0.1.0",
+    "versions": {"numpy": "2.4.6", "python": "3.11.7", "scipy": "1.17.1"}}
+NOISY_SIMULATE_CSV = (
+    "snr_db,trials,errors,cer,ci_lo,ci_hi\n"
+    "4.0,3000,630,0.21,0.19580039787368875,0.2249413343870003\n"
+    "6.0,3000,333,0.111,0.1002527848792385,0.1227421594290651\n"
+    "8.0,3000,121,0.04033333333333333,0.03386105069778884,0.04798130423036084\n")
+
 # an optimize-constellation manifest as written before it recorded its inputs
 OLD_OPTIMIZE_MANIFEST = json.dumps({
     "command": "optimize-constellation",
@@ -346,8 +406,10 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
     (SIM + ["--snr", "10", "--seed", "-1"], None, "seed"),
     (SIM + ["--snr", "10", "--seed", str(1 << 128)], None, "seed"),
     (["optimize-constellation"], OLD_OPTIMIZE_MANIFEST, "base"),
-    (["check-constellation", "3x4", "--tol", "-1"], None, "tol"),
-    (["check-constellation", "3x1", "--tol", "nan"], None, "tol"),
+    (["check-constellation", "3x1"], "tol = 0\n", "tol"),
+    (SIM + ["--snr", "10"], "noiseless = True\n", "noiseless"),
+    (["simulate"], json.dumps({"config": {**NOISY_SIMULATE_MANIFEST["config"],
+                                          "noiseless": "True"}}), "noiseless"),
     (OPT + ["--budget", "nan"], None, "budget"),
     (OPT + ["--budget", "inf"], None, "budget"),
     (OPT[:3] + ["--budget", "3", "--b-step", "1e-300"], None, "b_step"),
@@ -371,7 +433,8 @@ OLD_OPTIMIZE_MANIFEST = json.dumps({
     (["dmin-pdf", "--preset", "3x1", "--count", "1000"], "threads = 0\n", "threads"),
 ], ids=["empty-snr-item", "trials-abc", "truncated-manifest", "snr-nan", "snr-huge",
         "snr-tiny", "unknown-key",
-        "negative-seed", "wide-seed", "old-optimize-manifest", "tol-negative", "tol-nan",
+        "negative-seed", "wide-seed", "old-optimize-manifest", "check-config-tol",
+        "config-noiseless", "manifest-noiseless-true",
         "budget-nan", "budget-inf", "b-step-tiny", "phi-step-tiny", "bins-huge",
         "count-huge", "dmin-count-small", "dmin-negative-seed", "dmin-wide-seed", "dmin-nr-zero", "dmin-scheme-baseline",
         "nr-huge", "dmin-nr-huge",
@@ -432,6 +495,11 @@ def test_old_simulate_manifest_reruns_byte_identical(tmp_path, capsys):
     assert run(["simulate", "--config", manifest, "--out", tmp_path / "bad.csv"]) == 2
     assert "nt" in capsys.readouterr().err
     assert not (tmp_path / "bad.csv").exists()
+    manifest.write_text(json.dumps(NOISY_SIMULATE_MANIFEST))
+    assert run(["simulate", "--config", manifest, "--out", out]) == 0
+    assert out.read_text() == NOISY_SIMULATE_CSV
+    config = json.loads((tmp_path / "again.csv.manifest.json").read_text())["config"]
+    assert "noiseless" not in config and config["seed"] == "7"
 
 
 _VALUES = (st.sampled_from(["3x1", "16x1", "10", "8:12:2", "1,,2", "nan", "-1", "1e999",
@@ -466,3 +534,14 @@ def test_config_text_resolves_or_raises_configuration_error(tmp_path):
         assert set(options) <= set(OPTIONS)
 
     check()
+
+
+def test_readme_command_line_names_only_real_flags():
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    named = set(re.findall(r"--[a-z][a-z0-9-]*", section))
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    flags = {f for p in subparsers.choices.values() for a in p._actions for f in a.option_strings}
+    assert len(named) >= 10
+    assert sorted(named - flags) == []

@@ -16,7 +16,6 @@ from fdprecode.constellation import (
     check_full_diversity,
     geometric_qam_family,
     load_constellation,
-    min_sum_distance,
     optimize_rotations_scalings,
     preset,
     qam_points,
@@ -160,7 +159,7 @@ def test_sum_constellation_budget_exceeded():
 # ------------------------------------------------------------ diversity check
 
 def test_check_full_diversity_preset_3_1():
-    report = check_full_diversity(preset(3, 1), 1e-12)
+    report = check_full_diversity(preset(3, 1))
     assert report.passes
     assert report.min_sum_distance == pytest.approx(1.35, rel=1e-12)
     assert report.pairs_checked == 28
@@ -171,7 +170,7 @@ def test_check_full_diversity_preset_3_1():
 
 def test_check_full_diversity_detects_cancellation():
     cs = ConstellationSets((np.array([-1.0, 1.0]), np.array([-1.0, 1.0])), 1)
-    report = check_full_diversity(cs, 1e-12)
+    report = check_full_diversity(cs)
     assert not report.passes
     assert report.min_sum_distance == 0.0
     a, b = report.witness
@@ -184,7 +183,7 @@ def test_check_full_diversity_4bit_preset_fails_with_witness():
     # 1/14 + 3/28 equals 3/14 - 1/28 exactly
     assert (1 / 14 + 3 / 28) == (3 / 14 - 1 / 28)
     cs = preset(3, 4)
-    report = check_full_diversity(cs, 1e-12)
+    report = check_full_diversity(cs)
     assert not report.passes
     a, b = report.witness
     sum_a = sum(cs.sets[i][a[i]] for i in range(3))
@@ -194,15 +193,16 @@ def test_check_full_diversity_4bit_preset_fails_with_witness():
 
 
 def test_min_sum_distance_values():
-    assert min_sum_distance(ConstellationSets((qam_points(4),), 2)) == 2.0
-    assert min_sum_distance(preset(3, 1)) == pytest.approx(1.35, rel=1e-12)
-    assert min_sum_distance(preset(4, 2)) == pytest.approx(0.25, rel=1e-12)
+    assert check_full_diversity(ConstellationSets((qam_points(4),), 2)).min_sum_distance == 2.0
+    assert check_full_diversity(preset(3, 1)).min_sum_distance == pytest.approx(1.35, rel=1e-12)
+    assert check_full_diversity(preset(4, 2)).min_sum_distance == pytest.approx(0.25, rel=1e-12)
 
 
 def test_min_sum_distance_matches_bruteforce():
     for nt, bits in [(3, 1), (3, 2), (4, 1), (4, 2), (8, 1)]:
         cs = preset(nt, bits)
-        assert min_sum_distance(cs) == brute_min_pairwise(sum_constellation(cs))
+        report = check_full_diversity(cs)
+        assert report.min_sum_distance == brute_min_pairwise(sum_constellation(cs))
 
 
 # ------------------------------------------------------------- closest pair
@@ -293,7 +293,8 @@ def test_geometric_family_square_grid():
     assert np.unique(sc).size == 256
     assert np.allclose(np.unique(sc.real), np.arange(-1.875, 1.876, 0.25))
     assert np.allclose(np.unique(sc.imag), np.arange(-1.875, 1.876, 0.25))
-    assert min_sum_distance(geometric_qam_family(4, 4, 0.5)) == pytest.approx(0.25, rel=1e-12)
+    report = check_full_diversity(geometric_qam_family(4, 4, 0.5))
+    assert report.min_sum_distance == pytest.approx(0.25, rel=1e-12)
 
 
 @pytest.mark.parametrize("nt", [2, 5, 8])
@@ -335,19 +336,18 @@ def test_injectivity_equivalence_with_pair_oracle(seed, nt, bits):
         pool = (np.arange(-4, 5)[:, None] + 1j * np.arange(-4, 5)[None, :]).ravel() / 4
         sets.append(rng.choice(pool, size=size, replace=False))
     cs = ConstellationSets(tuple(sets), bits)
-    tol = 1e-12
-    assert check_full_diversity(cs, tol).passes == brute_diversity_verdict(cs, tol)
+    assert check_full_diversity(cs).passes == brute_diversity_verdict(cs, 1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.floats(-3.0, 3.0, allow_nan=False), st.floats(0.1, 4.0, allow_nan=False))
 def test_common_rotation_and_scaling(phase, scale):
     cs = preset(3, 1)
-    base = min_sum_distance(cs)
+    base = check_full_diversity(cs).min_sum_distance
     rotated = ConstellationSets(tuple(np.exp(1j * phase) * c for c in cs.sets), 1)
-    assert min_sum_distance(rotated) == pytest.approx(base, rel=1e-12)
+    assert check_full_diversity(rotated).min_sum_distance == pytest.approx(base, rel=1e-12)
     scaled = ConstellationSets(tuple(scale * c for c in cs.sets), 1)
-    assert min_sum_distance(scaled) == pytest.approx(scale * base, rel=1e-12)
+    assert check_full_diversity(scaled).min_sum_distance == pytest.approx(scale * base, rel=1e-12)
 
 
 def test_sets_validation():
@@ -399,7 +399,7 @@ def test_optimizer_single_set_is_trivial():
     assert res.scales[0] == 1.0 and res.rotations[0] == 0.0
     assert np.array_equal(res.sets.sets[0], base.sets[0])
     assert res.min_sum_distance == 2.0
-    assert res.min_sum_distance == min_sum_distance(res.sets)
+    assert res.min_sum_distance == check_full_diversity(res.sets).min_sum_distance
 
 
 def test_optimizer_matches_naive_oracle_on_coarse_grid():
@@ -451,7 +451,7 @@ def test_optimizer_matches_naive_oracle_where_pruning_acts(monkeypatch):
     # every 65536-sum search scores a stage-4 candidate: at least the winner,
     # and at most 5 candidates
     assert 1 <= sizes.count(65536) <= 5
-    assert res.min_sum_distance == min_sum_distance(res.sets)
+    assert res.min_sum_distance == check_full_diversity(res.sets).min_sum_distance
 
 
 def test_optimizer_infeasible_budget():
@@ -467,14 +467,6 @@ def test_optimizer_rejects_bad_budget():
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ConfigurationError, match="budget"):
             optimize_rotations_scalings(base, GridSpec(0.5, np.pi), bad)
-
-
-def test_rejects_bad_tol():
-    base = ConstellationSets((np.array([-1.0, 1.0]), np.array([-1j, 1j])), 1)
-    for bad in (-1.0, np.nan, np.inf):
-        with pytest.raises(ConfigurationError, match="tol"):
-            check_full_diversity(base, bad)
-    assert check_full_diversity(base, 0.0).passes
 
 
 def test_grid_spec_values():

@@ -82,13 +82,15 @@ def test_kernel_degenerate_columns_give_unit_phasor():
 def test_kernel_rejects_bad_shapes():
     with pytest.raises(ConfigurationError):
         feedback_angles_batch(np.ones((2, 3), dtype=complex))
-    with pytest.raises(ConfigurationError):
-        feedback_angles_batch(np.ones((2, 3, 1), dtype=complex))
 
 
-def test_angles_require_two_antennas():
-    with pytest.raises(ConfigurationError):
-        feedback_angles_batch(np.array([[[1.0]]]))
+def test_one_antenna_feeds_back_no_angle():
+    # nt - 1 = 0 angles: the phasor is 1 and the effective channel is the one column
+    for nr in (1, 3):
+        h = channels(9, nr, 64, nr, 1)
+        a, h_eff = feedback_angles_batch(h)
+        assert a.shape == (64, 1) and np.all(a == 1.0)
+        assert h_eff.shape == (64, nr) and np.array_equal(h_eff, h[:, :, 0])
 
 
 def test_first_angle_zero_and_payload_size():
