@@ -11,11 +11,14 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def rayleigh(normals: np.ndarray, nr: int, nt: int) -> np.ndarray:
+def rayleigh(normals: np.ndarray, nr: int, nt: int, out: np.ndarray | None = None) -> np.ndarray:
     """(B, nr, nt) channels of i.i.d. CN(0, 1) gains from (B, 2 * nr * nt) standard normals.
 
     In each row the first nr * nt normals are the real parts and the rest the
-    imaginary parts, both in row-major (receive, transmit) order.
+    imaginary parts, both in row-major (receive, transmit) order. The result
+    is a view of a C-contiguous (nt, B, nr) complex array, `out` if given, so
+    that each transmit antenna's column block is contiguous, as the precoder
+    reads it.
     """
     if nt < 1 or nr < 1:
         raise ConfigurationError(f"antenna counts must be >= 1, got nt={nt}, nr={nr}")
@@ -23,13 +26,20 @@ def rayleigh(normals: np.ndarray, nr: int, nt: int) -> np.ndarray:
     if normals.ndim != 2 or normals.shape[1] != 2 * k:
         raise ConfigurationError(f"need (B, {2 * k}) normals for {nr}x{nt} channels, "
                                  f"got shape {normals.shape}")
-    # numpy divides a complex by a real as a product with the reciprocal: z / sqrt(2), bit for bit
-    return scaled_complex(normals[:, :k], normals[:, k:], 1.0 / np.sqrt(2.0)).reshape(-1, nr, nt)
+    b = normals.shape[0]
+    if out is None:
+        out = np.empty((nt, b, nr), dtype=complex)
+    re, im = (p.reshape(b, nr, nt) for p in (normals[:, :k], normals[:, k:]))
+    for n in range(nt):  # one (B, nr) block per antenna is faster than one 3-D pass
+        # numpy divides a complex by a real as a product with the reciprocal: z / sqrt(2), bit for bit
+        scaled_complex(re[:, :, n], im[:, :, n], 1.0 / np.sqrt(2.0), out[n])
+    return out.transpose(1, 2, 0)
 
 
-def scaled_complex(re: np.ndarray, im: np.ndarray, scale: float) -> np.ndarray:
-    """(re + 1j * im) * scale, bit for bit but for signed zeros, in one new array."""
-    z = np.empty(re.shape, dtype=complex)
+def scaled_complex(re: np.ndarray, im: np.ndarray, scale: float,
+                   out: np.ndarray | None = None) -> np.ndarray:
+    """(re + 1j * im) * scale, bit for bit but for signed zeros, in `out` or one new array."""
+    z = np.empty(re.shape, dtype=complex) if out is None else out
     np.multiply(re, scale, out=z.real)
     np.multiply(im, scale, out=z.imag)
     return z

@@ -384,10 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in ("simulate", "dmin-pdf"):
-        # load it before the parser and the batch arrays: first loaded mid-batch, its
-        # long-lived objects can pin the heap top, and a later 2-thread call peaks higher
-        import scipy.special  # noqa: F401
     args = build_parser().parse_args(argv)
     try:
         options = resolve_options(args)

@@ -37,32 +37,64 @@ def codeword_matrix(cs: ConstellationSets) -> np.ndarray:
     return np.stack(np.meshgrid(*cs.sets, indexing="ij"), -1).reshape(n, cs.nt)
 
 
-def exhaustive_decode_batch(y: np.ndarray, transfer: np.ndarray,
-                            codewords: np.ndarray) -> np.ndarray:
-    """argmin_k ||y_b - transfer_b @ x_k||^2 for every row b, ties to the smallest k.
+class ExhaustiveDecoder:
+    """ML decoder over an (N, nt) codebook, for the unprecoded baseline.
 
-    y is (B, nr), transfer (B, nr, nt), codewords (N, nt). Real arithmetic, no BLAS:
-    per receive antenna o, Re and Im of transfer[o, n] * x_k[n] come off y_o in
-    antenna order n; dr * dr + di * di is summed over o. A prefix x_k[:n + 1] that
-    codewords share is computed once, in (prefixes, rows) planes of at most
-    max(N, 2**15) elements, so each codeword's roundings are its own sequence's.
+    `decode_batch(y, transfer)` returns argmin_k ||y_b - transfer_b @ x_k||^2
+    for every row b, ties to the smallest k. Real arithmetic, no BLAS: per
+    receive antenna o, Re and Im of transfer[o, n] * x_k[n] come off y_o in
+    antenna order n; dr * dr + di * di is summed over o. A prefix x_k[:n + 1]
+    that codewords share is computed once, in (prefixes, rows) planes of at
+    most max(N, 2**15) elements, so each codeword's roundings are its own
+    sequence's. The prefix tree is built once, here. Gathers use `np.take`'s
+    clip mode, which writes `out=` in place where raise mode copies; every
+    index is in range.
     """
-    inv, levels = np.zeros(len(codewords), dtype=np.int64), []
-    for col in codewords.T:  # per antenna n, the distinct prefixes x_k[:n + 1] by (parent, value)
-        u, vi = np.unique(col, return_inverse=True)
-        keys, inv = np.unique(inv * u.size + vi, return_inverse=True)
-        levels.append((u.real[:, None], u.imag[:, None], keys // u.size, keys % u.size))
-    out, step = np.empty(len(y), dtype=np.int64), max(1, (1 << 15) // len(codewords))
-    for lo in range(0, len(y), step):
-        yc, t, metric = y[lo:lo + step], transfer[lo:lo + step], 0.0
-        for o in range(y.shape[1]):
-            dr, di = yc[None, :, o].real, yc[None, :, o].imag
-            for (ur, ui, parent, val), tn in zip(levels, t[:, o, :].T):
-                dr = np.take(dr, parent, axis=0) - np.take(ur * tn.real - ui * tn.imag, val, axis=0)
-                di = np.take(di, parent, axis=0) - np.take(ui * tn.real + ur * tn.imag, val, axis=0)
-            metric = metric + (dr * dr + di * di)
-        out[lo:lo + step] = np.argmin(np.take(metric, inv, axis=0), axis=0)
-    return out
+
+    def __init__(self, codewords: np.ndarray):
+        inv, self.levels = np.zeros(len(codewords), dtype=np.int64), []
+        for col in codewords.T:  # per antenna n, the distinct prefixes x_k[:n + 1] by (parent, value)
+            u, vi = np.unique(col, return_inverse=True)
+            keys, inv = np.unique(inv * u.size + vi, return_inverse=True)
+            self.levels.append((u.real[:, None], u.imag[:, None], keys // u.size, keys % u.size))
+        self.inv = inv
+
+    def decode_batch(self, y: np.ndarray, transfer: np.ndarray, alloc=np.empty) -> np.ndarray:
+        """Decisions for (B, nr) receptions through (B, nr, nt) transfers; the
+        planes and the result come from alloc(shape, dtype), once per call."""
+        rows, nr = y.shape
+        step = max(1, min(rows, (1 << 15) // self.inv.size))
+        deep = max(parent.size for _, _, parent, _ in self.levels)  # no level has more values
+        flat = [alloc(deep * step) for _ in range(9)] + [alloc(self.inv.size * step)]
+        out = alloc(rows, np.int64)
+        for lo in range(0, rows, step):
+            w = min(step, rows - lo)
+            # contiguous (plane rows, w) views of the flat buffers
+            views = (b[:b.size // step * w].reshape(-1, w) for b in flat)
+            xr, xi, tmp, metric, term, *planes, table = views
+            for o in range(nr):
+                dr, di = y[None, lo:lo + w, o].real, y[None, lo:lo + w, o].imag
+                for lv, ((ur, ui, parent, val), tn) in enumerate(zip(self.levels,
+                                                                     transfer[lo:lo + w, o, :].T)):
+                    m, k = ur.shape[0], parent.size
+                    ar = np.subtract(np.multiply(ur, tn.real, out=xr[:m]),
+                                     np.multiply(ui, tn.imag, out=tmp[:m]), out=xr[:m])
+                    ai = np.add(np.multiply(ui, tn.real, out=xi[:m]),
+                                np.multiply(ur, tn.imag, out=tmp[:m]), out=xi[:m])
+                    nxt_r, nxt_i = planes[lv % 2][:k], planes[2 + lv % 2][:k]
+                    dr = np.subtract(np.take(dr, parent, axis=0, out=nxt_r, mode="clip"),
+                                     np.take(ar, val, axis=0, out=tmp[:k], mode="clip"), out=nxt_r)
+                    di = np.subtract(np.take(di, parent, axis=0, out=nxt_i, mode="clip"),
+                                     np.take(ai, val, axis=0, out=tmp[:k], mode="clip"), out=nxt_i)
+                k = dr.shape[0]
+                # o = 0 writes the metric itself: 0.0 + (dr * dr + di * di) is that sum, never -0.0
+                acc = metric[:k] if o == 0 else term[:k]
+                np.add(np.multiply(dr, dr, out=acc), np.multiply(di, di, out=tmp[:k]), out=acc)
+                if o:
+                    metric[:k] += acc
+            np.argmin(np.take(metric[:k], self.inv, axis=0, out=table, mode="clip"), axis=0,
+                      out=out[lo:lo + w])
+        return out
 
 
 class FastMLDecoder:
@@ -83,7 +115,6 @@ class FastMLDecoder:
 
     _ARGMIN_SUMS = 25         # tables this small decode faster by the exhaustive argmin
     _MAX_CELLS_PER_SUM = 16   # grid size cap, in cells per sum
-    _GATHER_ROWS = 4096       # queries per candidate gather, bounding its temporaries
 
     def __init__(self, sums: np.ndarray):
         d, _, _ = _min_pairwise(sums)
@@ -114,44 +145,72 @@ class FastMLDecoder:
         self._offsets = (dx * ny + dy).reshape(-1, 1)
         self._bound = c * (1.0 - 1e-9)
 
-    def decode_batch(self, y: np.ndarray, h_eff: np.ndarray) -> np.ndarray:
-        """Vectorized decode of (B, nr) receptions against (B, nr) effective channels."""
-        s_mf = np.sum(h_eff.conj() * y, axis=1) / np.sum(np.abs(h_eff) ** 2, axis=1)
+    def decode_batch(self, y: np.ndarray, h_eff: np.ndarray, alloc=np.empty) -> np.ndarray:
+        """Vectorized decode of (B, nr) receptions against (B, nr) effective channels.
+
+        Every array made here, the decisions included, comes from
+        alloc(shape, dtype); the grid gathers are (9, B), so the caller
+        bounds them by the batch it passes.
+        """
+        b = y.shape[0]
+        prod, mag2 = alloc(y.shape, complex), alloc(y.shape)
+        s_mf, energy = alloc((b,), complex), alloc((b,))
+        np.sum(np.multiply(np.conjugate(h_eff, out=prod), y, out=prod), axis=1, out=s_mf)
+        np.sum(np.square(np.abs(h_eff, out=mag2), out=mag2), axis=1, out=energy)
+        np.divide(s_mf, energy, out=s_mf)
         if self._grid is None:
-            return self._argmin(s_mf)
-        out = np.empty(s_mf.size, dtype=np.int64)
-        step = self._GATHER_ROWS
-        for lo in range(0, s_mf.size, step):
-            out[lo:lo + step] = self._lookup(s_mf[lo:lo + step])
-        rest = np.nonzero(out < 0)[0]
-        if rest.size:
-            out[rest] = self._argmin(s_mf[rest])
+            return self._argmin(s_mf, alloc)
+        out = self._lookup(s_mf, alloc)
+        rest = np.less(out, 0, out=alloc((b,), bool))
+        if rest.any():
+            q = np.compress(rest, s_mf, out=alloc((np.count_nonzero(rest),), complex))
+            out[rest] = self._argmin(q, alloc)
         return out
 
-    def _lookup(self, q: np.ndarray) -> np.ndarray:
-        """Grid decision for each query in q, or -1 where the grid cannot certify one."""
+    def _lookup(self, q: np.ndarray, alloc=np.empty) -> np.ndarray:
+        """Grid decision for each query in q, or -1 where the grid cannot certify one.
+
+        Every query takes the same steps: one off the grid, NaN included, is
+        scored against clipped cells and then refused.
+        """
         x0, y0, c, pad, nx, ny = self._frame
-        with np.errstate(over="ignore"):
-            fx = np.floor((q.real - x0) / c) + pad
-            fy = np.floor((q.imag - y0) / c) + pad
-        # non-finite cells, NaN included, fail the range test and fall back
-        rows = np.nonzero((fx >= 1) & (fx < nx - 1) & (fy >= 1) & (fy < ny - 1))[0]
-        cell = fx[rows].astype(np.intp) * ny + fy[rows].astype(np.intp)
-        cand = self._grid[self._offsets + cell]  # (block cells, queries): mins run along long rows
-        dist = np.abs(q[rows] - self._points[cand])
-        best = dist.min(axis=0)
-        # smallest sum index among the tied candidates
-        idx = np.where(dist == best, cand, self.sums.size).min(axis=0)
-        ok = best < self._bound
-        out = np.full(q.size, -1, dtype=np.int64)
-        out[rows[ok]] = idx[ok]
+        n, block = q.size, (self._offsets.size, q.size)
+        fx, fy, ok, test = alloc((n,)), alloc((n,)), alloc((n,), bool), alloc((n,), bool)
+        cell, near, cand = alloc((n,), np.intp), alloc(block, np.intp), alloc(block, np.intp)
+        diff, dist, out = alloc(block, complex), alloc(block), alloc((n,), np.int64)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for f, part, origin in ((fx, q.real, x0), (fy, q.imag, y0)):
+                np.subtract(part, origin, out=f)
+                f /= c
+                np.floor(f, out=f)
+                f += pad
+            np.greater_equal(fx, 1, out=ok)
+            ok &= np.less(fx, nx - 1, out=test)
+            ok &= np.greater_equal(fy, 1, out=test)
+            ok &= np.less(fy, ny - 1, out=test)
+            np.multiply(fx, ny, out=fx)
+            fx += fy  # the flat cell index: exact on the grid, any value off it
+            np.copyto(cell, fx, casting="unsafe")
+            # (block cells, queries): mins run along long rows
+            np.take(self._grid, np.add(self._offsets, cell, out=near), out=cand, mode="clip")
+            np.take(self._points, cand, out=diff, mode="clip")
+            np.abs(np.subtract(q, diff, out=diff), out=dist)
+            best = np.min(dist, axis=0, out=fy)
+            ok &= np.less(best, self._bound, out=test)
+            # smallest sum index among the tied candidates
+            np.copyto(cand, self.sums.size, where=np.not_equal(dist, best, out=alloc(block, bool)))
+        out.fill(-1)
+        np.copyto(out, np.min(cand, axis=0, out=cell), where=ok)
         return out
 
-    def _argmin(self, s_mf: np.ndarray) -> np.ndarray:
-        """Exhaustive argmin |s_mf - sums|, chunked so the (chunk, N) table stays ~32 MB."""
-        out = np.empty(s_mf.size, dtype=np.int64)
-        chunk = max(1, (1 << 21) // max(1, self.sums.size))
+    def _argmin(self, s_mf: np.ndarray, alloc=np.empty) -> np.ndarray:
+        """Exhaustive argmin |s_mf - sums|, in chunks whose (chunk, N) table
+        holds at most max(N, 2**16) entries (1 MB of complex at 2**16)."""
+        out = alloc((s_mf.size,), np.int64)
+        chunk = max(1, min(s_mf.size, (1 << 16) // self.sums.size))
+        diff, dist = alloc((chunk, self.sums.size), complex), alloc((chunk, self.sums.size))
         for lo in range(0, s_mf.size, chunk):
             hi = min(lo + chunk, s_mf.size)
-            out[lo:hi] = np.argmin(np.abs(s_mf[lo:hi, None] - self.sums[None, :]), axis=1)
+            d = np.subtract(s_mf[lo:hi, None], self.sums[None, :], out=diff[:hi - lo])
+            np.argmin(np.abs(d, out=dist[:hi - lo]), axis=1, out=out[lo:hi])
         return out

@@ -25,7 +25,7 @@ from .errors import ConfigurationError
 _DEGENERATE_EPS = 1e-300
 
 
-def feedback_angles_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def feedback_angles_batch(h: np.ndarray, alloc=np.empty) -> tuple[np.ndarray, np.ndarray]:
     """Feedback phasors and effective channels of a (B, nr, nt) channel batch.
 
     Returns (a, h_eff): a (B, nt) holds a = exp(1j * theta) with a[:, 0] == 1
@@ -34,16 +34,28 @@ def feedback_angles_batch(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the root theta_n = atan2(-Re z, Im z) (theta_2 = alpha[2,1] - pi/2 for
     n = 1); a_n is exactly 1 where |z| is below `_DEGENERATE_EPS`. With
     nt = 1 no angle is fed back: a == 1 and h_eff == h[:, :, 0].
+
+    The antennas are read as (nt, B, nr) column blocks, without a copy when
+    h is a view of such an array (as `channel.rayleigh` returns). Every
+    array made here, the results included, comes from alloc(shape, dtype).
     """
     if h.ndim != 3:
         raise ConfigurationError(f"channel batch must be 3-D, got shape {h.shape}")
-    b, _, nt = h.shape
-    cols = np.ascontiguousarray(np.moveaxis(h, 2, 0), dtype=complex)  # (nt, B, nr)
-    a = np.ones((nt, b), dtype=complex)
-    s = cols[0].copy()
+    b, nr, nt = h.shape
+    cols = np.moveaxis(h, 2, 0)
+    if not (cols.flags.c_contiguous and cols.dtype == complex):
+        cols = alloc((nt, b, nr), complex)
+        cols[...] = np.moveaxis(h, 2, 0)
+    a = alloc((nt, b), complex)
+    a.fill(1.0)
+    s = alloc((b, nr), complex)
+    s[...] = cols[0]
+    z, mag, ok = alloc((b,), complex), alloc((b,)), alloc((b,), bool)
+    tmp = alloc((b, nr), complex)
     for n in range(1, nt):
-        z = np.einsum("bo,bo->b", cols[n].conj(), s)
-        mag = np.abs(z)
-        np.divide(-1j * z, mag, out=a[n], where=mag >= _DEGENERATE_EPS)
-        s += a[n][:, None] * cols[n]
+        np.einsum("bo,bo->b", np.conjugate(cols[n], out=tmp), s, out=z)
+        np.abs(z, out=mag)
+        np.divide(np.multiply(-1j, z, out=z), mag, out=a[n],
+                  where=np.greater_equal(mag, _DEGENERATE_EPS, out=ok))
+        s += np.multiply(a[n][:, None], cols[n], out=tmp)
     return a.T, s

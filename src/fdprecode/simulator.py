@@ -9,6 +9,13 @@ between groups. So counts and the stopping decision are bit-identical for
 any worker count. Each call opens one thread pool when threads > 1; one
 thread runs every batch on the calling thread.
 
+A batch runs as a loop over `_TILE`-trial tiles, so that a tile's arrays
+stay in cache. Every array whose size scales with the tile, from the draws
+to the decoder's gathers, is a view handed out by the thread's `_Workspace`
+and written with `out=`: after a thread's first tile, tiles allocate, free
+and page-fault nothing tile-sized. Each trial owns its Philox window and
+every stage works row by row, so counts do not depend on the tile size.
+
 SNR convention: the grid is average received SNR per receive antenna. For
 the proposed scheme E||H F x||^2 = nt * nr * Es (the rank-one precoder adds
 an nt-fold array gain), so sigma^2 = nt * Es / gamma; the unprecoded
@@ -24,6 +31,7 @@ import contextlib
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,13 +40,14 @@ from . import streams
 # gram_polar is unused here: perfbench/tracing.py looks it up on this module to wrap it
 from .channel import gram_polar, rayleigh, scaled_complex
 from .constellation import ConstellationSets, average_energy, sum_constellation
-from .detector import FastMLDecoder, codeword_matrix, exhaustive_decode_batch
+from .detector import ExhaustiveDecoder, FastMLDecoder, codeword_matrix
 from .errors import ConfigurationError
 from .precoder import feedback_angles_batch
 
 SCHEMES = ("proposed", "unprecoded_vblast")
 
-_BATCH = 1 << 15        # trials vectorized together
+_BATCH = 1 << 15        # trials per scheduled unit of work
+_TILE = 1 << 12         # trials vectorized together, so a tile's arrays stay in cache
 _GROUP_BATCHES = 4      # stopping-rule granularity, fixed so thread count is irrelevant
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _MAX_COUNT = 1 << 24    # d^2_min samples held at once for the sort and KS test (128 MB)
@@ -46,7 +55,7 @@ KS_MIN_SAMPLES = 100    # the asymptotic KS p-value is not trusted below this
 _KS_CHUNK = 1 << 20     # sorted samples per KS step, bounding its temporaries to a few MB
 _KS_STRIDE = 64         # sorted samples per KS block, bounded from its first CDF value
 _KS_SLACK = 1e-9        # absorbs rounding in gammainc and in the block bounds
-_MAX_WORDS = 1 << 10    # uniforms per trial, so one batch's draw table stays within 256 MB
+_MAX_WORDS = 1 << 10    # uniforms per trial, so one tile's draw table stays within 32 MB
 
 
 def _check_run(nt: int, nr: int, seed: int, words: int) -> None:
@@ -142,41 +151,88 @@ def wilson_interval(errors, trials):
     return lo, hi
 
 
+class _Workspace(threading.local):
+    """One thread's scratch memory for the tile pipeline.
+
+    `take(shape, dtype)` hands out arrays like `np.empty`. The i-th request
+    of a tile is a view of the i-th buffer, kept across tiles and grown only
+    when a request outsizes it, so in steady state a thread allocates, frees
+    and page-faults nothing tile-sized.
+    """
+
+    def __init__(self):
+        self.slots, self.next = [], 0  # per request: (shape, dtype), its view, the buffer
+
+    def take(self, shape, dtype=float):
+        i, self.next = self.next, self.next + 1
+        if i == len(self.slots):
+            self.slots.append((None, None, np.empty(0, np.uint8)))
+        key, view, buf = self.slots[i]
+        if key != (shape, dtype):
+            size = shape if isinstance(shape, int) else math.prod(shape)
+            nbytes = size * np.dtype(dtype).itemsize
+            if buf.size < nbytes:
+                buf = np.empty(nbytes, np.uint8)
+            view = buf[:nbytes].view(dtype).reshape(shape)
+            self.slots[i] = ((shape, dtype), view, buf)
+        return view
+
+    def tiles(self, first: int, count: int):
+        """(first, n) of each tile of trials [first, first + count); each starts at buffer 0."""
+        for lo in range(first, first + count, _TILE):
+            self.next = 0
+            yield lo, min(_TILE, first + count - lo)
+
+
 class _Engine:
-    """Precomputed tables plus the per-batch trial pipeline for one config;
+    """Precomputed tables plus the per-tile trial pipeline for one config;
     `symbols[k]` is what codeword k sends: its sum, or its row (baseline)."""
 
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.m = 1 << cfg.bits_per_symbol  # points per antenna set
         self.n_h = 2 * cfg.nr * cfg.nt
+        self.radix = float(self.m) ** np.arange(cfg.nt - 1, -1, -1)
+        self.workspace = _Workspace()
         if cfg.scheme == "proposed":
             self.symbols = sum_constellation(cfg.constellation)
             self.decoder = FastMLDecoder(self.symbols)
         else:
             self.symbols = codeword_matrix(cfg.constellation)
-            self.decoder = None
+            self.decoder = ExhaustiveDecoder(self.symbols)
 
     def run_batch(self, point_idx: int, sigma2: float, first: int, count: int) -> int:
-        cfg = self.cfg
-        nt, nr = cfg.nt, cfg.nr
-        u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_CER, point_idx, first, count,
-                                   cfg.words_per_trial)
-        h = rayleigh(streams.normal_from_uniform(u[:, :self.n_h]), nr, nt)
-        cw = (u[:, self.n_h:self.n_h + nt] * self.m).astype(np.int64)  # u < 1, so cw < m
-        gn = streams.normal_from_uniform(u[:, self.n_h + nt:])
-        noise = scaled_complex(gn[:, :nr], gn[:, nr:], np.sqrt(sigma2 / 2.0))
-        true_idx = np.ravel_multi_index(tuple(cw.T), (self.m,) * nt)
-        x = self.symbols[true_idx]
+        return sum(self.run_tile(point_idx, sigma2, lo, n)
+                   for lo, n in self.workspace.tiles(first, count))
 
+    def run_tile(self, point_idx: int, sigma2: float, first: int, count: int) -> int:
+        cfg, alloc = self.cfg, self.workspace.take
+        nt, nr, n_h, words = cfg.nt, cfg.nr, self.n_h, cfg.words_per_trial
+        u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_CER, point_idx, first, count, words,
+                                   out=alloc((count, (words + 3) // 4 * 4)))
+        g = streams.normal_from_uniform(u[:, :n_h], out=u[:, :n_h])
+        h = rayleigh(g, nr, nt, out=alloc((nt, count, nr), complex))
+        digits = u[:, n_h:n_h + nt]
+        np.floor(np.multiply(digits, self.m, out=digits), out=digits)  # u < 1, so each is below m
+        # the mixed-radix codeword index, row-major over antennas: exact in floats below 2**53
+        true_idx = alloc((count,), np.int64)
+        np.copyto(true_idx, np.matmul(digits, self.radix, out=alloc((count,))), casting="unsafe")
+        gn = streams.normal_from_uniform(u[:, n_h + nt:], out=u[:, n_h + nt:])
+        noise = scaled_complex(gn[:, :nr], gn[:, nr:], np.sqrt(sigma2 / 2.0),
+                               out=alloc((count, nr), complex))
+        x = alloc((count,) + self.symbols.shape[1:], complex)
+        # clip mode writes out= in place, where raise mode copies; every index is in range
+        np.take(self.symbols, true_idx, axis=0, out=x, mode="clip")
+        y = alloc((count, nr), complex)
         if cfg.scheme == "proposed":
-            _, h_eff = feedback_angles_batch(h)
-            y = h_eff * x[:, None] + noise
-            decisions = self.decoder.decode_batch(y, h_eff)
+            _, transfer = feedback_angles_batch(h, alloc)  # h_eff
+            np.multiply(transfer, x[:, None], out=y)
         else:
-            y = np.einsum("bon,bn->bo", h, x) + noise
-            decisions = exhaustive_decode_batch(y, h, self.symbols)
-        return int(np.count_nonzero(decisions != true_idx))
+            transfer = h
+            np.einsum("bon,bn->bo", h, x, out=y)
+        y += noise
+        decisions = self.decoder.decode_batch(y, transfer, alloc)
+        return int(np.count_nonzero(np.not_equal(decisions, true_idx, out=alloc((count,), bool))))
 
 
 def _pool(threads: int):
@@ -240,16 +296,19 @@ def sample_dmin_pdf(nt: int, nr: int, seed: int, count: int, threads: int = 1) -
     if not 1 <= count <= _MAX_COUNT:
         raise ConfigurationError(f"count must lie in [1, {_MAX_COUNT}], got {count}")
 
-    def draw(first, n):
-        u = streams.trial_uniforms(seed, streams.PURPOSE_DMIN, 0, first, n, 2 * nr * nt)
-        g = streams.normal_from_uniform(u)
-        return np.sum(np.square(g, out=g), axis=1)  # 2*|h|^2 summed = 2*||H||_F^2 directly
+    words, ws, out = 2 * nr * nt, _Workspace(), np.empty(count)
 
-    out = np.empty(count)
+    def draw(first, n):
+        for lo, t in ws.tiles(first, n):
+            u = streams.trial_uniforms(seed, streams.PURPOSE_DMIN, 0, lo, t, words,
+                                       out=ws.take((t, (words + 3) // 4 * 4)))
+            g = streams.normal_from_uniform(u, out=u)
+            # 2*|h|^2 summed = 2*||H||_F^2 directly
+            np.sum(np.square(g, out=g), axis=1, out=out[lo:lo + t])
+
     with _pool(threads) as pool:
-        for done, group in _groups(draw, count, pool):
-            z = np.concatenate(group)
-            out[done - z.size:done] = z
+        for _ in _groups(draw, count, pool):
+            pass
     return out
 
 

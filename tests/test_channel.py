@@ -43,7 +43,12 @@ def test_rayleigh_is_bitwise_the_former_expression(nr, nt):
     wide = _normals(100_000, 4 * k + 1)
     for normals in (wide[:, :2 * k], wide[:, 1::2], wide[::2, 1:2 * k + 1]):
         former = (normals[:, :k] + 1j * normals[:, k:]).reshape(-1, nr, nt) / np.sqrt(2.0)
-        assert np.array_equal(rayleigh(normals, nr, nt).view(np.uint64), former.view(np.uint64))
+        out = np.empty((nt, normals.shape[0], nr), dtype=complex)
+        for h in (rayleigh(normals, nr, nt), rayleigh(normals, nr, nt, out)):
+            # a view of (nt, B, nr) column blocks, the precoder's layout
+            assert np.moveaxis(h, 2, 0).flags.c_contiguous
+            assert np.array_equal(np.ascontiguousarray(h).view(np.uint64), former.view(np.uint64))
+        assert np.shares_memory(h, out)
 
 
 @pytest.mark.parametrize("sigma2", [2.0, 0.37, 1e-5])

@@ -10,7 +10,7 @@ from fdprecode.constellation import (
     qam_points,
     sum_constellation,
 )
-from fdprecode.detector import FastMLDecoder, codeword_matrix, exhaustive_decode_batch
+from fdprecode.detector import ExhaustiveDecoder, FastMLDecoder, codeword_matrix
 from fdprecode.errors import ConfigurationError, EnumerationBudgetError
 from fdprecode.precoder import feedback_angles_batch
 
@@ -121,7 +121,7 @@ def test_exhaustive_decode_batch_is_the_unprecoded_ml_decoder(nr):
     # (q, p) score alike; small integers keep every metric exact
     h[0] = np.array([2 - 1j, -1 + 3j, 1 + 1j])[:nr, None]
     y[0] = h[0] @ np.array([5 + 3j, -1 - 7j]) + 0.5
-    got = exhaustive_decode_batch(y, h, x)
+    got = ExhaustiveDecoder(x).decode_batch(y, h)
     for b in range(rows):
         metric = np.linalg.norm(y[b] - x @ h[b].T, axis=1)  # ||y - H x_k|| for every k
         assert got[b] == np.argmin(metric)
@@ -148,7 +148,7 @@ def test_exhaustive_decode_batch_matches_norm_oracle(nt, nr, kind):
     ybuf[:, 1::2] = np.einsum("bon,bn->bo", transfer, x[k]) + rng.standard_normal((rows, nr))
     y = ybuf[:, 1::2]
     assert not (transfer.flags.c_contiguous or y.flags.c_contiguous)
-    got = exhaustive_decode_batch(y, transfer, x)
+    got = ExhaustiveDecoder(x).decode_batch(y, transfer)
     assert np.array_equal(got, ml_decode(y, transfer, x))
     assert np.count_nonzero(got != k) > 0  # the noise makes errors
 
@@ -161,7 +161,7 @@ def test_exhaustive_decode_batch_tie_at_three_antennas():
     x = codeword_matrix(ConstellationSets((q4, q4, q4), 2))
     transfer = np.array([[[2 - 1j, 1 + 3j, 2 - 1j], [-1 + 1j, 2 + 0j, -1 + 1j]]] * 3)
     y = x[[6, 27, 57]] @ transfer[0].T + np.array([[0.5, -0.5j], [0.5 + 0.5j, 0.0], [1.5, 1.5]])
-    got = exhaustive_decode_batch(y, transfer, x)
+    got = ExhaustiveDecoder(x).decode_batch(y, transfer)
     for b in range(3):
         metric = np.linalg.norm(y[b] - x @ transfer[b].T, axis=1)
         tied = np.nonzero(metric == metric.min())[0]
@@ -177,7 +177,7 @@ def test_exhaustive_decode_batch_memory_is_bounded():
     y = h[:, :, 0] * 0.5
     tracemalloc.start()
     try:
-        exhaustive_decode_batch(y, h, x)
+        ExhaustiveDecoder(x).decode_batch(y, h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import sys
 import time
 import tracemalloc
 
@@ -10,6 +11,7 @@ from scipy.special import gammainc, gammaincinv
 from fdprecode.constellation import preset, sum_constellation
 from fdprecode.detector import codeword_matrix
 from fdprecode.errors import ConfigurationError
+from fdprecode import simulator
 from fdprecode.simulator import (
     CerCurve,
     SimConfig,
@@ -67,7 +69,7 @@ def test_config_validation():
     for seed in (0, (1 << 128) - 1):
         assert small_config(seed=seed).seed == seed
     # 3x1 draws 8 nr + 3 uniforms per trial; more than 1024 would put over
-    # 256 MB in one batch's draw table, and the check comes before any draw
+    # 32 MB in one tile's draw table, and the check comes before any draw
     assert small_config(nr=127).words_per_trial == 1019
     for nr in (128, 10_000_000):
         with pytest.raises(ConfigurationError, match=f"nr={nr}"):
@@ -145,6 +147,56 @@ def test_symbol_tables_match_per_antenna_loops():
         assert np.array_equal(sum_constellation(cs)[idx], s)
         rows = np.stack([cs.sets[i][cw[:, i]] for i in range(nt)], axis=1)
         assert np.array_equal(codeword_matrix(cs)[idx], rows)
+
+
+@pytest.fixture
+def fast_switching():
+    # threads trade the interpreter lock every 10 us, so a workspace shared
+    # across threads, or a lost write to the dmin output, would show
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("nt, bits, nr, snr, scheme", [
+    (3, 1, 2, 9.0, "proposed"), (8, 1, 1, 25.0, "proposed"), (16, 1, 1, 50.0, "proposed"),
+    (3, 1, 2, 9.0, "unprecoded_vblast")])
+def test_tile_size_does_not_change_counts(monkeypatch, fast_switching, nt, bits, nr, snr, scheme):
+    # 100003 trials end in a partial batch whose last tile is partial too;
+    # 1000 divides no batch, and a tile of _BATCH trials is the whole batch
+    cfg = SimConfig(nr=nr, constellation=preset(nt, bits), snr_grid_db=(snr,),
+                    trials_per_point=100003, seed=4, scheme=scheme)
+    runs = []
+    for tile in (simulator._TILE, 1000, simulator._BATCH):
+        monkeypatch.setattr(simulator, "_TILE", tile)
+        for threads in (1, 3):
+            curve = run_cer_sweep(cfg, threads=threads)
+            runs.append((curve.trials.tolist(), curve.errors.tolist()))
+    assert runs[0][0] == [100003] and runs[0][1][0] > 0
+    assert all(run == runs[0] for run in runs)
+
+
+def test_tile_size_does_not_change_dmin_samples(monkeypatch, fast_switching):
+    want = sample_dmin_pdf(3, 2, 6, 100003)
+    for tile in (1000, simulator._BATCH):
+        monkeypatch.setattr(simulator, "_TILE", tile)
+        for threads in (1, 3):
+            assert np.array_equal(sample_dmin_pdf(3, 2, 6, 100003, threads=threads).view(np.uint64),
+                                  want.view(np.uint64))
+
+
+def test_steady_state_batches_reuse_the_workspace():
+    # after the first batch, a batch makes no new tile-sized buffer
+    for scheme in ("proposed", "unprecoded_vblast"):
+        cfg = small_config(nr=2, trials_per_point=1 << 20, scheme=scheme)
+        engine = simulator._Engine(cfg)
+        engine.run_batch(0, cfg.sigma2(10.0), 0, simulator._BATCH)
+        buffers = [id(buf) for _, _, buf in engine.workspace.slots]
+        engine.run_batch(0, cfg.sigma2(10.0), simulator._BATCH, simulator._BATCH)
+        assert [id(buf) for _, _, buf in engine.workspace.slots] == buffers
 
 
 def test_rerun_identical():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from fdprecode.streams import PURPOSE_CER, raw_block, trial_uniforms, uniform_open
+from fdprecode.streams import PURPOSE_CER, PURPOSE_DMIN, raw_block, trial_uniforms, uniform_open
 
 
 def _uniform_open_reference(raw):
@@ -62,3 +62,42 @@ def test_uniform_open_is_bitwise_the_former_expression(cols):
                                                      dtype=np.uint64)
     got = uniform_open(raw[:, cols])
     assert np.array_equal(got.view(np.uint64), _uniform_open_reference(raw)[:, cols].view(np.uint64))
+
+
+@pytest.mark.parametrize("words", [1, 6, 7, 12, 19, 50])
+@pytest.mark.parametrize("purpose, point", [(PURPOSE_CER, 0), (PURPOSE_CER, 2), (PURPOSE_DMIN, 0)])
+def test_float_buffer_draws_equal_the_word_path(purpose, point, words):
+    # Philox written straight into a reused float buffer, as the simulator's
+    # tiles draw, equals converting its words; offsets are not tile multiples
+    blocks = (words + 3) // 4
+    buf = np.full(777 * 4 * blocks, np.nan)
+    for first in (0, 1000, 4097, 98303):
+        raw = raw_block(5, purpose, point, first * blocks, 777 * blocks)
+        want = uniform_open(raw.reshape(777, 4 * blocks)[:, :words])
+        got = trial_uniforms(5, purpose, point, first, 777, words, out=buf)
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the buffer holds each word as (w >> 11) * 2**-53 before the offset and clamp
+        plain = raw_block(5, purpose, point, first * blocks, 777 * blocks, out=np.empty(raw.size))
+        assert np.array_equal(plain, (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53)
+
+
+def test_float_buffer_size_must_match():
+    with pytest.raises(ValueError, match="out holds"):
+        raw_block(5, PURPOSE_CER, 0, 0, 3, out=np.empty(11))
+
+
+def test_uniform_open_maps_float_words_in_place():
+    # the edge words of the open-interval test, in the float form raw_block
+    # writes: the arithmetic must agree bit for bit, and the top 2048 words
+    # must clamp to 1 - 2**-53
+    top = np.uint64((1 << 64) - 1) - np.arange(2048, dtype=np.uint64)
+    raw = np.concatenate([np.array([0, 2047, 2048, 1 << 63, (1 << 64) - (1 << 11) - 1],
+                                   dtype=np.uint64), top])
+    words = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
+    got = uniform_open(words)
+    assert np.shares_memory(got, words)
+    assert np.array_equal(got.view(np.uint64), uniform_open(raw).view(np.uint64))
+    assert np.all((got > 0) & (got < 1))
+    assert np.array_equal(got[5:], np.full(2048, 1.0 - 2.0 ** -53))
+    assert got[4] < 1.0 - 2.0 ** -53
