@@ -3,7 +3,8 @@
 A channel matrix is a complex ndarray of shape (nr, nt): row = receive
 antenna, column = transmit antenna, entries i.i.d. CN(0, 1) with total unit
 variance split equally between real and imaginary parts, so that the
-expected squared Frobenius norm is nt * nr.
+expected squared Frobenius norm is nt * nr. `rayleigh` sizes its channel
+batch itself and takes it from the caller's `alloc(shape, dtype)`.
 """
 
 import numpy as np
@@ -11,14 +12,13 @@ import numpy as np
 from .errors import ConfigurationError
 
 
-def rayleigh(normals: np.ndarray, nr: int, nt: int, out: np.ndarray | None = None) -> np.ndarray:
+def rayleigh(normals: np.ndarray, nr: int, nt: int, alloc=np.empty) -> np.ndarray:
     """(B, nr, nt) channels of i.i.d. CN(0, 1) gains from (B, 2 * nr * nt) standard normals.
 
     In each row the first nr * nt normals are the real parts and the rest the
     imaginary parts, both in row-major (receive, transmit) order. The result
-    is a view of a C-contiguous (nt, B, nr) complex array, `out` if given, so
-    that each transmit antenna's column block is contiguous, as the precoder
-    reads it.
+    is a view of `alloc((nt, B, nr), complex)`, so that each transmit
+    antenna's column block is contiguous, as the precoder reads it.
     """
     if nt < 1 or nr < 1:
         raise ConfigurationError(f"antenna counts must be >= 1, got nt={nt}, nr={nr}")
@@ -27,8 +27,7 @@ def rayleigh(normals: np.ndarray, nr: int, nt: int, out: np.ndarray | None = Non
         raise ConfigurationError(f"need (B, {2 * k}) normals for {nr}x{nt} channels, "
                                  f"got shape {normals.shape}")
     b = normals.shape[0]
-    if out is None:
-        out = np.empty((nt, b, nr), dtype=complex)
+    out = alloc((nt, b, nr), complex)
     re, im = (p.reshape(b, nr, nt) for p in (normals[:, :k], normals[:, k:]))
     for n in range(nt):  # one (B, nr) block per antenna is faster than one 3-D pass
         # numpy divides a complex by a real as a product with the reciprocal: z / sqrt(2), bit for bit
@@ -36,13 +35,11 @@ def rayleigh(normals: np.ndarray, nr: int, nt: int, out: np.ndarray | None = Non
     return out.transpose(1, 2, 0)
 
 
-def scaled_complex(re: np.ndarray, im: np.ndarray, scale: float,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """(re + 1j * im) * scale, bit for bit but for signed zeros, in `out` or one new array."""
-    z = np.empty(re.shape, dtype=complex) if out is None else out
-    np.multiply(re, scale, out=z.real)
-    np.multiply(im, scale, out=z.imag)
-    return z
+def scaled_complex(re: np.ndarray, im: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:
+    """(re + 1j * im) * scale into `out`, bit for bit but for signed zeros."""
+    np.multiply(re, scale, out=out.real)
+    np.multiply(im, scale, out=out.imag)
+    return out
 
 
 def gram_polar(h_batch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,11 +10,12 @@ any worker count. Each call opens one thread pool when threads > 1; one
 thread runs every batch on the calling thread.
 
 A batch runs as a loop over `_TILE`-trial tiles, so that a tile's arrays
-stay in cache. Every array whose size scales with the tile, from the draws
-to the decoder's gathers, is a view handed out by the thread's `_Workspace`
-and written with `out=`: after a thread's first tile, tiles allocate, free
-and page-fault nothing tile-sized. Each trial owns its Philox window and
-every stage works row by row, so counts do not depend on the tile size.
+stay in cache. Each stage, from the draws to the decoder's gathers, sizes
+its own tile-sized arrays and takes them from the `alloc(shape, dtype)` it
+is passed, here the thread's `_Workspace.take`: after a thread's first
+tile, tiles allocate, free and page-fault nothing tile-sized. Each trial
+owns its Philox window and every stage works row by row, so counts do not
+depend on the tile size.
 
 SNR convention: the grid is average received SNR per receive antenna. For
 the proposed scheme E||H F x||^2 = nt * nr * Es (the rank-one precoder adds
@@ -207,19 +208,18 @@ class _Engine:
 
     def run_tile(self, point_idx: int, sigma2: float, first: int, count: int) -> int:
         cfg, alloc = self.cfg, self.workspace.take
-        nt, nr, n_h, words = cfg.nt, cfg.nr, self.n_h, cfg.words_per_trial
-        u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_CER, point_idx, first, count, words,
-                                   out=alloc((count, (words + 3) // 4 * 4)))
-        g = streams.normal_from_uniform(u[:, :n_h], out=u[:, :n_h])
-        h = rayleigh(g, nr, nt, out=alloc((nt, count, nr), complex))
+        nt, nr, n_h = cfg.nt, cfg.nr, self.n_h
+        u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_CER, point_idx, first, count,
+                                   cfg.words_per_trial, alloc)
+        h = rayleigh(streams.normal_from_uniform(u[:, :n_h]), nr, nt, alloc)
         digits = u[:, n_h:n_h + nt]
         np.floor(np.multiply(digits, self.m, out=digits), out=digits)  # u < 1, so each is below m
         # the mixed-radix codeword index, row-major over antennas: exact in floats below 2**53
         true_idx = alloc((count,), np.int64)
         np.copyto(true_idx, np.matmul(digits, self.radix, out=alloc((count,))), casting="unsafe")
-        gn = streams.normal_from_uniform(u[:, n_h + nt:], out=u[:, n_h + nt:])
+        gn = streams.normal_from_uniform(u[:, n_h + nt:])
         noise = scaled_complex(gn[:, :nr], gn[:, nr:], np.sqrt(sigma2 / 2.0),
-                               out=alloc((count, nr), complex))
+                               alloc((count, nr), complex))
         x = alloc((count,) + self.symbols.shape[1:], complex)
         # clip mode writes out= in place, where raise mode copies; every index is in range
         np.take(self.symbols, true_idx, axis=0, out=x, mode="clip")
@@ -300,9 +300,8 @@ def sample_dmin_pdf(nt: int, nr: int, seed: int, count: int, threads: int = 1) -
 
     def draw(first, n):
         for lo, t in ws.tiles(first, n):
-            u = streams.trial_uniforms(seed, streams.PURPOSE_DMIN, 0, lo, t, words,
-                                       out=ws.take((t, (words + 3) // 4 * 4)))
-            g = streams.normal_from_uniform(u, out=u)
+            u = streams.trial_uniforms(seed, streams.PURPOSE_DMIN, 0, lo, t, words, ws.take)
+            g = streams.normal_from_uniform(u)
             # 2*|h|^2 summed = 2*||H||_F^2 directly
             np.sum(np.square(g, out=g), axis=1, out=out[lo:lo + t])
 

@@ -1,4 +1,4 @@
-"""Reference implementations of the paper's claims, written the plain way.
+"""Reference implementations of the Philox draws and of the paper's claims, written the plain way.
 
 The package never calls these; the tests hold its fast paths against them.
 """
@@ -6,6 +6,19 @@ The package never calls these; the tests hold its fast paths against them.
 import numpy as np
 
 from fdprecode.channel import gram_polar
+
+
+def philox_words(seed, purpose, point, start_block, n_blocks):
+    """uint64 Philox words of counter blocks [start_block, start_block + n_blocks) at the
+    address `streams` draws from: 256-bit counter words [block, 0, point, purpose]."""
+    counter = (purpose << 192) | (point << 128) | start_block
+    return np.random.Philox(key=seed & ((1 << 128) - 1), counter=counter).random_raw(4 * n_blocks)
+
+
+def uniforms(words):
+    """((w >> 11) + 0.5) * 2**-53 of uint64 words, clamped to 1 - 2**-53 (where it rounds to 1)."""
+    u = ((words >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+    return np.minimum(u, 1.0 - 2.0 ** -53)
 
 
 def precoder(a):

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 from fdprecode.channel import gram_polar, rayleigh, scaled_complex
 from fdprecode.errors import ConfigurationError
 from fdprecode.simulator import ks_test_chisq
-from fdprecode.streams import normal_from_uniform, uniform_open
+from fdprecode.streams import normal_from_uniform
 
 from draws import channels
+from oracles import uniforms
 
 
 def test_sample_channel_deterministic_for_seed():
@@ -34,7 +35,7 @@ def _normals(rows, cols):
     """Normals as the simulator draws them, from random words (strided views below)."""
     raw = np.random.default_rng([71, rows, cols]).integers(0, 1 << 64, size=(rows, cols),
                                                            dtype=np.uint64)
-    return normal_from_uniform(uniform_open(raw))
+    return normal_from_uniform(uniforms(raw))
 
 
 @pytest.mark.parametrize("nr, nt", [(1, 8), (2, 3), (3, 2), (1, 1)])
@@ -43,12 +44,18 @@ def test_rayleigh_is_bitwise_the_former_expression(nr, nt):
     wide = _normals(100_000, 4 * k + 1)
     for normals in (wide[:, :2 * k], wide[:, 1::2], wide[::2, 1:2 * k + 1]):
         former = (normals[:, :k] + 1j * normals[:, k:]).reshape(-1, nr, nt) / np.sqrt(2.0)
-        out = np.empty((nt, normals.shape[0], nr), dtype=complex)
-        for h in (rayleigh(normals, nr, nt), rayleigh(normals, nr, nt, out)):
+        handed = []
+
+        def alloc(shape, dtype):
+            handed.append(np.full(shape, np.nan, dtype))
+            return handed[-1]
+
+        for h in (rayleigh(normals, nr, nt), rayleigh(normals, nr, nt, alloc)):
             # a view of (nt, B, nr) column blocks, the precoder's layout
             assert np.moveaxis(h, 2, 0).flags.c_contiguous
             assert np.array_equal(np.ascontiguousarray(h).view(np.uint64), former.view(np.uint64))
-        assert np.shares_memory(h, out)
+        assert [(a.shape, a.dtype) for a in handed] == [((nt, normals.shape[0], nr), complex)]
+        assert np.shares_memory(h, handed[0])
 
 
 @pytest.mark.parametrize("sigma2", [2.0, 0.37, 1e-5])
@@ -58,7 +65,9 @@ def test_noise_is_bitwise_the_former_expression(nr, sigma2):
     wide = _normals(100_000, 4 * nr + 1)
     for gn in (wide[:, -2 * nr:], wide[:, 1::2], wide[::3, :2 * nr]):
         former = (gn[:, :nr] + 1j * gn[:, nr:]) * np.sqrt(sigma2 / 2.0)
-        got = scaled_complex(gn[:, :nr], gn[:, nr:], np.sqrt(sigma2 / 2.0))
+        out = np.full((gn.shape[0], nr), np.nan, dtype=complex)
+        got = scaled_complex(gn[:, :nr], gn[:, nr:], np.sqrt(sigma2 / 2.0), out)
+        assert got is out
         assert np.array_equal(got.view(np.uint64), former.view(np.uint64))
 
 

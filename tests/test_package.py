@@ -18,14 +18,44 @@ def test_star_import_binds_no_module():
     assert all(n in namespace for n in fdprecode.__all__)
 
 
+def _package_trees():
+    return {path.stem: ast.parse(path.read_text())
+            for path in pathlib.Path(fdprecode.__file__).parent.glob("*.py")}
+
+
+def _read_names(tree):
+    """Names a module reads: bare loads, and attributes such as `streams.PURPOSE_CER`."""
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            | {node.attr for node in ast.walk(tree)
+               if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)})
+
+
 def test_every_exported_name_is_used_by_the_package():
     # an export only the tests call belongs in the tests (oracles.py)
-    loaded = set()
-    for path in pathlib.Path(fdprecode.__file__).parent.glob("*.py"):
-        if path.name != "__init__.py":
-            loaded |= {node.id for node in ast.walk(ast.parse(path.read_text()))
-                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    trees = _package_trees()
+    loaded = set().union(*(_read_names(t) for name, t in trees.items() if name != "__init__"))
     assert sorted(set(fdprecode.__all__) - loaded) == []
+
+
+def test_every_top_level_name_is_read_by_the_package():
+    # a constant or function only the tests read belongs in the tests; cmd_*
+    # are looked up by name in build_parser, and gram_polar stays for the tracer
+    trees = _package_trees()
+    loaded = set().union(*map(_read_names, trees.values()))
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unread += [f"{module}.{n}" for n in names
+                       if n not in loaded and not n.startswith(("cmd_", "__"))]
+    assert sorted(unread) == ["channel.gram_polar"]
 
 
 # a fresh interpreter, since this one has loaded scipy.special for other tests

@@ -199,6 +199,25 @@ def test_steady_state_batches_reuse_the_workspace():
         assert [id(buf) for _, _, buf in engine.workspace.slots] == buffers
 
 
+@pytest.mark.parametrize("nt, nr, snr, scheme", [
+    (3, 2, 12.0, "proposed"), (3, 2, 12.0, "unprecoded_vblast"), (16, 1, 50.0, "proposed")])
+def test_steady_state_batches_do_not_page_fault(nt, nr, snr, scheme):
+    # one 3x1 nr=2 tile's draw table alone is about 160 pages, so a batch that
+    # allocated its tile arrays afresh would fault hundreds of times
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RUSAGE_THREAD"):
+        pytest.skip("per-thread resource usage is not available here")
+    cfg = SimConfig(nr=nr, constellation=preset(nt, 1), snr_grid_db=(snr,),
+                    trials_per_point=1 << 20, seed=0, scheme=scheme)
+    engine = simulator._Engine(cfg)
+    faults = []
+    for i in range(8):  # 2 warm batches, then 6 measured
+        before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+        engine.run_batch(0, cfg.sigma2(snr), i * simulator._BATCH, simulator._BATCH)
+        faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
+    assert np.median(faults[2:]) <= 8, faults
+
+
 def test_rerun_identical():
     cfg = small_config(trials_per_point=30000, snr_grid_db=(12.0,))
     a = run_cer_sweep(cfg)
