@@ -13,7 +13,8 @@ every value, flag or file, goes through its option's parser. The parsers
 bound only what the command line alone owns (`bins`, the least `count`);
 every other range check stays with the library (`SimConfig`, `GridSpec`,
 `sample_dmin_pdf`, and the simulator's thread pool for `threads`). `main`
-resolves the options and loads the constellation once, for every command.
+parses with the one parser `build_parser` makes per process, resolves the
+options and loads the constellation once, for every command.
 Every file-producing command writes a JSON manifest next to its outputs
 with the resolved options, so any output can be reproduced byte for byte
 from the manifest alone.
@@ -23,6 +24,7 @@ infeasible design or codebook), 2 usage, configuration, or I/O error.
 """
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -363,6 +365,7 @@ def cmd_dmin_pdf(args, options, sets) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fdprecode",

@@ -18,11 +18,12 @@ authoritative for whatever convention is configured.
 The checker and the optimizer score a design by one exact closest-pair
 search over its sums (`_min_pairwise`): all pairs at once for up to 64
 points, and a bucket grid of about one point per cell above that, so a
-65536-sum check costs a few linear passes rather than a sort-and-widen scan
-over hundreds of offsets. Its minimum equals an exhaustive pair scan's bit
-for bit. The optimizer first scores a leading subset of a large stage's
-sums; a subset spaced no wider than the incumbent settles the candidate,
-and the design found is still the one exhaustive scoring picks.
+65536-sum check costs one linear pass on a lattice, a few on other sums,
+rather than a sort-and-widen scan over hundreds of offsets. Its minimum
+equals an exhaustive pair scan's bit for bit. The optimizer first scores
+leading subsets of a large stage's sums (64 for all of a scale's rotations
+at once, then 1024 per candidate); one spaced no wider than the incumbent
+settles the candidate, so the design is the one exhaustive scoring picks.
 
 Constellation file format (used by the CLI): a header line ``nt bits``
 followed by one line per point, ``i re im`` with 1-based antenna index i and
@@ -215,15 +216,17 @@ def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
 
     Up to _ALL_PAIRS_MAX points every pair is evaluated at once. Larger sets
     take a bucket-grid search (Khuller & Matias, Inf. Comput. 118, 1995):
-    cells of side s = max(sqrt(w h / n), max(w, h) / n) for a w x h bounding
-    box, so O(n) cells even for collinear points. Each point is compared
-    with the later points of its own cell and every point of the four cells
-    ahead (two runs of the cell-sorted points), so every pair closer than s
-    is evaluated once. When the best pair found is not certifiably closer
-    than s, one more pass at side = that distance is exact. Every candidate
-    distance is abs() of the complex difference, so the result is
-    bit-identical to an exhaustive pair scan. On lattice-like sums a pass is
-    linear; a dense cluster inside one cell costs its pairs squared.
+    cells of side s just above the spacing d of an n-point rectangular grid
+    filling the w x h bounding box, edges included, (w/d + 1)(h/d + 1) = n:
+    O(n) cells even for collinear points, and a lattice's spacing certifies
+    in the first pass. Each point is compared with the later points of its
+    own cell and every point of the four cells ahead (two runs of the
+    cell-sorted points), so every pair closer than s is evaluated once. When
+    the best pair found is not certifiably closer than s, one more pass at
+    side = that distance is exact. Every candidate distance is abs() of the
+    complex difference, so the result is bit-identical to an exhaustive pair
+    scan. On lattice-like sums a pass is linear; a dense cluster inside one
+    cell costs its pairs squared.
     """
     n = points.size
     if n < 2:
@@ -234,13 +237,17 @@ def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
         k = int(np.argmin(d))
         return float(d[k]), int(i[k]), int(j[k])
     w, h = np.ptp(points.real), np.ptp(points.imag)
-    # floored so that identical or subnormal-spaced points still get a grid
-    side = max(np.sqrt(w) * np.sqrt(h / n), max(w, h) / n, np.finfo(float).tiny)
-    if not np.isfinite(side):
+    span = max(w, h)
+    if not np.isfinite(span):
         raise ConfigurationError("points must be finite")
     # a computed cell coordinate is off by less than 4 n eps cells, so a pair
     # that is not evaluated is at least side / slack apart
     slack = 1.0 + 8 * n * np.finfo(float).eps
+    # d in units of the longer edge, so nothing overflows; floored so that
+    # identical or subnormal-spaced points still get a grid
+    u, v = (w / span, h / span) if span > 0 else (0.0, 0.0)
+    d = (u + v + np.sqrt((u + v) ** 2 + 4 * (n - 1) * u * v)) / (2 * (n - 1)) * span
+    side = max(d * slack * slack, np.finfo(float).tiny)
     while True:
         best, i, j = _grid_closest(points, side)
         if best * slack <= side:
@@ -337,12 +344,13 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
 
     Skipping is exact: a candidate wins only if its distance exceeds
     bar = incumbent * (1 + 1e-9) (the distinctness tolerance before any
-    incumbent). A stage of more than 1024 sums first scores its leading
-    1024, a subset whose closest pair is no closer than the whole stage's,
-    so a subset minimum at most `bar` rules the candidate out; any other
-    candidate is scored exactly on the whole stage. Scan order, ties and
-    result therefore equal a full scoring of every grid point. Stages of at
-    most 64 sums score one scale's rotations in one array.
+    incumbent). A subset's closest pair is no closer than the whole stage's,
+    so a subset minimum at most `bar` rules the candidate out. Stages of at
+    most 64 sums score one scale's rotations in one array; a larger stage
+    scores its leading 64 sums the same way (when |C_i| <= 64), then each
+    candidate left on its leading 1024 sums (`_candidate_min`) and last on
+    the whole stage. Scan order, ties and result therefore equal a full
+    scoring of every grid point.
 
     The result reports the achieved min_sum_distance, so coarse grids are
     honest about what they found: the last stage's winner was scored on
@@ -370,17 +378,19 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
         if prefix.size * c.size > ENUM_BUDGET:
             raise EnumerationBudgetError(
                 f"enumeration infeasible: stage {i + 1} would hold {prefix.size * c.size} sums")
-        small = prefix.size * c.size <= _ALL_PAIRS_MAX
+        # the leading sums scored all pairs at once: the whole of a small stage
+        lead = prefix[:_ALL_PAIRS_MAX // c.size]
         best = None
         for b in b_values:
             if spent + b * b * energies[i] > power_budget:
                 break  # b ascends, so all later scales are infeasible too
             ws = [b * np.exp(1j * phi) for phi in phi_values]
-            minima = iter(_all_pairs_minima(prefix, c, ws)) if small else None
-            for phi, w in zip(phi_values, ws):
+            minima = _all_pairs_minima(lead, c, ws) if lead.size else [np.inf] * len(ws)
+            for phi, w, d in zip(phi_values, ws, minima):
                 # the incumbent changes only above `bar`
                 bar = DEFAULT_DISTINCT_TOL if best is None else best_val * (1 + _TIE_REL)
-                d = next(minima) if small else _candidate_min(prefix, w * c, bar)
+                if d > bar and lead.size < prefix.size:
+                    d = _candidate_min(prefix, w * c, bar)
                 if d > bar:
                     best_val, best = d, (float(b), float(phi), w)
         if best is None:
@@ -417,7 +427,8 @@ def _candidate_min(prefix: np.ndarray, wc: np.ndarray, bar: float) -> float:
     """Minimum pairwise distance of the sums prefix + wc, in lexicographic
     order: exact above `bar`, else some value <= bar. A large stage first
     scores its leading _SUBSET_SUMS sums: a subset is never closer-spaced
-    than the whole, so a subset minimum at most `bar` settles the candidate."""
+    than the whole, so a subset minimum at most `bar` settles the candidate.
+    Its leading 64 sums are bit for bit those `_all_pairs_minima` formed."""
     if prefix.size * wc.size > _SUBSET_SUMS:
         rows = max(1, _SUBSET_SUMS // wc.size)
         d, _, _ = _min_pairwise((prefix[:rows, None] + wc[None, :]).ravel())

@@ -113,6 +113,16 @@ def test_simulate_flag_overrides_config(tmp_path):
     assert out.read_text().splitlines()[1].split(",")[1] == "2000"
 
 
+def test_consecutive_calls_share_one_parser_but_no_values(tmp_path):
+    assert build_parser() is build_parser()
+    args = ["simulate", "--preset", "3x1", "--snr", "20", "--trials", "500", "--threads", "1"]
+    assert run(args + ["--nr", "2", "--seed", "7", "--plot", "--out", tmp_path / "a.csv"]) == 0
+    assert run(args + ["--out", tmp_path / "b.csv"]) == 0
+    config = json.loads((tmp_path / "b.csv.manifest.json").read_text())["config"]
+    assert (config["nr"], config["seed"]) == ("1", "0")
+    assert not (tmp_path / "b.svg").exists()
+
+
 def test_simulate_plot_writes_svg_without_touching_csv(tmp_path):
     out1 = tmp_path / "p1.csv"
     out2 = tmp_path / "p2.csv"

@@ -215,8 +215,8 @@ def assert_closest_pair_exact(points):
     assert np.abs(points[i] - points[j]) == d
 
 
-def _lattice(side):
-    u, v = np.meshgrid(np.arange(side), np.arange(side), indexing="ij")
+def _lattice(side, rows=None):
+    u, v = np.meshgrid(np.arange(side), np.arange(side if rows is None else rows), indexing="ij")
     return (u + 1j * v).ravel().astype(complex)
 
 
@@ -246,6 +246,48 @@ def test_closest_pair_tight_cluster_beside_wide_spread():
 def test_closest_pair_rotated_and_wide_lattices():
     assert_closest_pair_exact(np.exp(0.3j) * _lattice(16))
     assert_closest_pair_exact(1e6 / 15 * _lattice(16) + (3e6 - 2e6j))
+
+
+def _counting_grid_passes(monkeypatch):
+    passes = []
+    grid_closest = constellation._grid_closest
+
+    def counted(points, side):
+        passes.append(side)
+        return grid_closest(points, side)
+
+    monkeypatch.setattr(constellation, "_grid_closest", counted)
+    return passes
+
+
+@pytest.mark.parametrize("points, expected", [
+    (lambda: sum_constellation(preset(16, 1)), (0.015625, 0, 1)),
+    (lambda: sum_constellation(preset(8, 2)), (0.015625, 0, 1)),
+    (lambda: sum_constellation(preset(4, 2)), (0.25, 0, 1)),
+    (lambda: _lattice(16, 4096), (1.0, 0, 1)),
+    (lambda: 0.37 * np.arange(5000) + 0j, (0.36999999999989086, 1386, 1387)),
+], ids=["16x1", "8x2", "4x2", "16x4096", "collinear"])
+def test_closest_pair_certifies_lattices_in_one_grid_pass(monkeypatch, points, expected):
+    # the first cell side sits just above the spacing of a lattice filling
+    # its bounding box, so the spacing found is certified without re-gridding
+    points = points()
+    passes = _counting_grid_passes(monkeypatch)
+    assert _min_pairwise(points) == expected
+    assert len(passes) == 1
+    if points.size <= 5000:
+        assert_closest_pair_exact(points)
+
+
+def test_closest_pair_spanning_near_the_float_maximum(monkeypatch):
+    rng = np.random.default_rng(3)
+    for scale in (1e300, 7e307):
+        plane = scale * (rng.uniform(-1, 1, 300) + 1j * rng.uniform(-1, 1, 300))
+        assert_closest_pair_exact(plane)
+        assert_closest_pair_exact(plane.real + 0j)
+        assert_closest_pair_exact(np.concatenate([plane[:200], [-scale, scale]]))
+    passes = _counting_grid_passes(monkeypatch)
+    assert_closest_pair_exact(1e300 / 4999 * np.arange(-4999, 5000, 2) + 0j)
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize("n", [_ALL_PAIRS_MAX, _ALL_PAIRS_MAX + 1])
@@ -429,6 +471,61 @@ def test_optimizer_matches_naive_oracle_on_grid_search_stages():
     assert res.min_sum_distance == brute_min_pairwise(sum_constellation(res.sets))
 
 
+@pytest.mark.parametrize("nt, points", [
+    (8, np.array([-1.0, 1.0])),  # stages of 128 and 256 sums
+    (4, qam_points(4)),  # a 256-sum stage
+], ids=["1-bit", "2-bit"])
+def test_optimizer_matches_naive_oracle_on_prefiltered_stages(monkeypatch, nt, points):
+    bits = int(np.log2(points.size))
+    base = ConstellationSets((points,) * nt, bits)
+    grid = GridSpec(0.125, np.pi / 8)
+    oracle = naive_stagewise_search(base, grid, 4.0)
+    assert oracle is not None
+    scored = []
+    candidate_min = constellation._candidate_min
+
+    def counted(prefix, wc, bar):
+        scored.append(prefix.size * wc.size)
+        return candidate_min(prefix, wc, bar)
+
+    monkeypatch.setattr(constellation, "_candidate_min", counted)
+    res = optimize_rotations_scalings(base, grid, 4.0)
+    assert np.array_equal(res.scales, oracle[0])
+    assert np.array_equal(res.rotations, oracle[1])
+    assert res.min_sum_distance == oracle[2]
+    # the stages above 64 sums score fewer candidates in full than they hold;
+    # the energies and scales are binary fractions, so `spent` is exact
+    energy = float(np.mean(np.abs(points) ** 2))
+    spent = energy * np.cumsum(res.scales ** 2)
+    b = grid.scale_values()
+    held = sum(int(np.sum(spent[i - 1] + b * b * energy <= 4.0)) for i in range(1, nt)
+               if points.size ** (i + 1) > _ALL_PAIRS_MAX) * grid.rotation_values().size
+    assert 1 <= len(scored) < held
+    assert min(scored) > _ALL_PAIRS_MAX
+
+
+@pytest.mark.parametrize("c", [qam_points(16), qam_points(4), np.array([-1.0, 1.0]),
+                               [1, 1j] @ np.random.default_rng(4).normal(size=(2, 8))],
+                         ids=["16-QAM", "4-QAM", "2-point", "random-8"])
+def test_prefilter_subset_sums_equal_the_candidate_sums(c):
+    # the leading sums _all_pairs_minima forms for all rotations at once are
+    # bit for bit the ones _candidate_min forms from w * c, so a candidate
+    # whose subset minimum is at most the bar has a whole-stage minimum, as
+    # _candidate_min computes it, at most the bar too
+    grid = GridSpec(0.01, np.pi / 36)
+    prefix = sum_constellation(ConstellationSets((c, c / 3), int(np.log2(c.size))))
+    lead = prefix[:_ALL_PAIRS_MAX // c.size]
+    for b in grid.scale_values()[::7]:
+        ws = [b * np.exp(1j * phi) for phi in grid.rotation_values()]
+        batched = np.array(ws)[:, None] * c[None, :]
+        subsets = (lead[None, :, None] + batched[:, None, :]).reshape(len(ws), -1)
+        minima = constellation._all_pairs_minima(lead, c, ws)
+        for w, row, m in zip(ws, subsets, minima):
+            leading = (prefix[:, None] + (w * c)[None, :]).ravel()[:row.size]
+            assert np.array_equal(row.view(np.uint64), leading.view(np.uint64))
+            assert m == _min_pairwise(leading)[0]
+
+
 def test_optimizer_matches_naive_oracle_where_pruning_acts(monkeypatch):
     # the benchmark's 4 x 16-QAM run: stages of 256, 4096 and 65536 sums, the
     # last two above the subset size, so most candidates are settled early
@@ -451,6 +548,8 @@ def test_optimizer_matches_naive_oracle_where_pruning_acts(monkeypatch):
     # every 65536-sum search scores a stage-4 candidate: at least the winner,
     # and at most 5 candidates
     assert 1 <= sizes.count(65536) <= 5
+    # the leading 64 sums settle most of the 180 candidates of the 256-sum stage
+    assert 1 <= sizes.count(256) < 180
     assert res.min_sum_distance == check_full_diversity(res.sets).min_sum_distance
 
 
