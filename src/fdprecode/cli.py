@@ -33,7 +33,6 @@ import sys
 from datetime import datetime, timezone
 
 import numpy as np
-import scipy
 
 from . import __version__, svgplot
 from .constellation import (
@@ -244,6 +243,8 @@ def _out_path(args, default: str) -> str:
 
 
 def write_manifest(out_path: str, command: str, config: dict, outputs: list) -> str:
+    import scipy  # here, so that importing the CLI does not load it
+
     manifest = {
         "tool": "fdprecode",
         "version": __version__,

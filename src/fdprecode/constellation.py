@@ -25,16 +25,28 @@ leading subsets of a large stage's sums (64 for all of a scale's rotations
 at once, then 1024 per candidate); one spaced no wider than the incumbent
 settles the candidate, so the design is the one exhaustive scoring picks.
 
+Memory: the sum table, the stage sums and every array a scan writes come
+from an `alloc(shape, dtype)` callable, the tile pipeline's one array
+convention (see `workspace`), and numpy makes no temporary of their size.
+`check_full_diversity` and the optimizer pass frames of one thread-local
+`Workspace` that outlives the call, so a second check of 65536 sums
+allocates and page-faults nothing; frames stack, so a scan never takes a
+slot its caller holds. The thread keeps its largest scan's buffers, 80 to
+110 bytes per sum. Other callers, `FastMLDecoder`'s build among them, pass
+`np.empty` and allocate per call.
+
 Constellation file format (used by the CLI): a header line ``nt bits``
 followed by one line per point, ``i re im`` with 1-based antenna index i and
 decimals printed at 17 significant digits for a lossless round trip.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesignError
+from .workspace import Workspace
 
 ENUM_BUDGET = 1 << 20
 DEFAULT_DISTINCT_TOL = 1e-12
@@ -53,6 +65,11 @@ UNVERIFIED_PRESETS = {(3, 4), (4, 4)}
 # relative spread below which grid-search objectives count as tied; mathematically
 # equal symmetric designs differ by ulps and must not defeat the lexicographic rule
 _TIE_REL = 1e-9
+
+# the checker's and the optimizer's scan arrays, kept per thread from call to call
+_SCAN = Workspace()
+_RUN = np.arange(1 << 12)  # the block `_arange` writes from
+_RUN.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -192,9 +209,10 @@ def geometric_qam_family(nt: int, m: int, ratio: float) -> ConstellationSets:
     return ConstellationSets(tuple(ratio ** i * q for i in range(nt)), bits)
 
 
-def sum_constellation(cs: ConstellationSets) -> np.ndarray:
+def sum_constellation(cs: ConstellationSets, alloc=np.empty) -> np.ndarray:
     """Every codeword sum as an (N,) array, in lexicographic codeword order
-    with antenna 1 most significant, enumerated left-to-right over antennas.
+    with antenna 1 most significant, enumerated left-to-right over antennas,
+    in the one (N,) array that alloc(shape, dtype) gives.
 
     Raises EnumerationBudgetError when the codebook exceeds ENUM_BUDGET; the
     full-diversity verdicts in this package are only ever exhaustive, so an
@@ -204,13 +222,40 @@ def sum_constellation(cs: ConstellationSets) -> np.ndarray:
     if n > ENUM_BUDGET:
         raise EnumerationBudgetError(
             f"enumeration infeasible: codebook holds {n} sums, budget is {ENUM_BUDGET}")
-    sums = np.zeros(1, dtype=complex)
+    # in place: before antenna i, prefix r sits at r * step, and its sums with
+    # C_i go to r * step + k * step / |C_i|, the k = 0 sum over the prefix;
+    # one strided add per point, since a broadcast add buffers its operands
+    out, step = alloc((n,), complex), n
+    out[0] = 0.0
     for c in cs.sets:
-        sums = (sums[:, None] + c[None, :]).ravel()
-    return sums
+        prefixes = out[::step]
+        step //= c.size
+        for k in range(c.size - 1, 0, -1):
+            np.add(prefixes, c[k], out=out[k * step::c.size * step])
+        prefixes += c[0]
+    return out
 
 
-def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
+def _stage_sums(prefix: np.ndarray, wc: np.ndarray, alloc=np.empty) -> np.ndarray:
+    """The sums prefix[r] + wc[s], r-major, flat, in an array from `alloc`;
+    one strided add per point, as in `sum_constellation`."""
+    out = alloc((prefix.size, wc.size), complex)
+    for k, w in enumerate(wc):
+        np.add(prefix, w, out=out[:, k])
+    return out.ravel()
+
+
+@functools.cache
+def _pairs(n: int) -> tuple:
+    """np.triu_indices(n, 1): the index pairs i < j of n points, built once
+    per n and read-only."""
+    pairs = np.triu_indices(n, 1)
+    for a in pairs:
+        a.setflags(write=False)
+    return pairs
+
+
+def _min_pairwise(points: np.ndarray, alloc=np.empty) -> tuple[float, int, int]:
     """Exact minimum pairwise |difference| over finite points, and an index
     pair (i, j), i < j, attaining it; (inf, -1, -1) for fewer than two points.
 
@@ -226,13 +271,14 @@ def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
     side = that distance is exact. Every candidate distance is abs() of the
     complex difference, so the result is bit-identical to an exhaustive pair
     scan. On lattice-like sums a pass is linear; a dense cluster inside one
-    cell costs its pairs squared.
+    cell costs its pairs squared. A pass takes every array it writes from
+    alloc(shape, dtype).
     """
     n = points.size
     if n < 2:
         return np.inf, -1, -1
     if n <= _ALL_PAIRS_MAX:
-        i, j = np.triu_indices(n, 1)
+        i, j = _pairs(n)
         d = np.abs(points[i] - points[j])
         k = int(np.argmin(d))
         return float(d[k]), int(i[k]), int(j[k])
@@ -249,54 +295,109 @@ def _min_pairwise(points: np.ndarray) -> tuple[float, int, int]:
     d = (u + v + np.sqrt((u + v) ** 2 + 4 * (n - 1) * u * v)) / (2 * (n - 1)) * span
     side = max(d * slack * slack, np.finfo(float).tiny)
     while True:
-        best, i, j = _grid_closest(points, side)
+        best, i, j = _grid_closest(points, side, alloc)
         if best * slack <= side:
             return best, i, j
         side = min(best, 2 * side) * slack
 
 
-def _grid_closest(points: np.ndarray, side: float) -> tuple[float, int, int]:
+def _grid_closest(points: np.ndarray, side: float, alloc=np.empty) -> tuple[float, int, int]:
     """Closest pair (d, i, j), i < j, among points in the same or adjacent
     grid cells of `side`, or (inf, -1, -1) if no two points are neighbours;
-    the scan ends early at a collision."""
+    the scan ends early at a collision. Its arrays come from `alloc`, and
+    every candidate pair is expanded into them, a chunk at a time."""
     n = points.size
-    cx = np.floor((points.real - points.real.min()) / side).astype(np.intp)
-    key = np.floor((points.imag - points.imag.min()) / side).astype(np.intp) + 1
-    ny = int(key.max()) + 2  # an empty row below and above every column
-    key += cx * ny
-    order = np.argsort(key, kind="stable")
-    sp, key = points[order], key[order]
-    ends = np.cumsum(np.bincount(key, minlength=(int(cx[order[-1]]) + 2) * ny))
-    del cx
+    f, cx, cy = alloc((n,)), alloc((n,), np.intp), alloc((n,), np.intp)
+    # 0, 1, 2, ...: a chunk holds at most _PAIR_CHUNK pairs or one row's,
+    # fewer than n; filled to n here and to the most pairs once they are known
+    ranks = alloc((max(n, _PAIR_CHUNK) + 1,), np.intp)
+    rank = _arange(ranks[:n + 1])
+    for part, cell in ((points.real, cx), (points.imag, cy)):
+        np.floor(np.divide(np.subtract(part, part.min(), out=f), side, out=f), out=f)
+        np.copyto(cell, f, casting="unsafe")
+    cy += 1
+    ny = int(cy.max()) + 2  # an empty row below and above every column
+    key = np.add(np.multiply(cx, ny, out=cx), cy, out=cx)
+    # the words key * 2**bits + index are distinct, so sorting them in place
+    # orders the points by key, ties by index; the grid has O(n) cells, so a
+    # word stays far below 2**63
+    bits = (n - 1).bit_length()
+    word = np.bitwise_or(np.left_shift(key, bits, out=key), rank[:n], out=cy)
+    word.sort()
+    order = np.bitwise_and(word, (1 << bits) - 1, out=cx)
+    key = np.right_shift(word, bits, out=cy)
+    # clip mode writes out= in place, where raise mode copies; every index is in range
+    sp = np.take(points, order, out=alloc((n,), complex), mode="clip")
+    ends = alloc(((int(key[-1]) // ny + 2) * ny,), np.intp)  # points up to each cell
+    ends.fill(0)
+    np.add.at(ends, key, 1)
+    np.cumsum(ends, out=ends)
     # candidates of the point at sorted position r, two runs in key order: the
     # rest of its own cell and the cell above, up to ends[key + 1], and the next
-    # column's three cells, ends[key + ny - 2] to ends[key + ny + 1]; each
-    # chunk of rows holds about _PAIR_CHUNK pairs
-    cum = ends[key + 1] - np.arange(1, n + 1)
-    cum += ends[key + ny + 1]
-    cum -= ends[key + ny - 2]
+    # column's three cells, ends[key + ny - 2] to ends[key + ny + 1]; cum[r]
+    # counts those of positions up to r
+    cum, part = alloc((n,), np.intp), f.view(np.intp)
+    np.take(ends[1:], key, out=cum, mode="clip")
+    cum -= rank[1:n + 1]
+    cum += np.take(ends[ny + 1:], key, out=part, mode="clip")
+    cum -= np.take(ends[ny - 2:], key, out=part, mode="clip")
     np.cumsum(cum, out=cum)
-    best, bi, bj = np.inf, -1, -1
-    lo = 0
-    while lo < n and best > 0.0:  # nothing beats a collision
+    # chunks of rows holding about _PAIR_CHUNK pairs; a chunk scans the first
+    # run of each of its rows, then the second run of each
+    bounds, lo = [], 0
+    while lo < n:
         base = cum[lo - 1] if lo else 0
         hi = max(lo + 1, int(np.searchsorted(cum, base + _PAIR_CHUNK, side="right")))
-        r = np.arange(lo, hi)
-        k = key[lo:hi]
-        first = np.concatenate([r + 1, ends[k + ny - 2]])
-        count = np.concatenate([ends[k + 1] - r - 1, ends[k + ny + 1] - ends[k + ny - 2]])
-        total = int(cum[hi - 1] - base)
+        bounds.append((lo, hi, int(cum[hi - 1] - base)))
         lo = hi
+    rows = max(hi - lo for lo, hi, _ in bounds)
+    pairs = max(total for _, _, total in bounds)
+    rank = _arange(ranks[:max(n, pairs) + 1], n + 1)
+    count, start, shift = alloc((rows,), np.intp), alloc((rows,), np.intp), alloc((rows,), np.intp)
+    a, b = alloc((pairs + 1,), np.intp), alloc((pairs,), np.intp)
+    u, v, d = alloc((pairs,), complex), alloc((pairs,), complex), alloc((pairs,))
+    best, bi, bj = np.inf, -1, -1
+    for lo, hi, total in bounds:
+        if best == 0.0:  # nothing beats a collision
+            break
         if total == 0:
             continue
-        a = np.repeat(np.tile(r, 2), count)
-        b = np.arange(total) + np.repeat(first - (np.cumsum(count) - count), count)
-        d = np.abs(sp[a] - sp[b])
-        m = int(np.argmin(d))
-        if d[m] < best:
-            best = float(d[m])
-            bi, bj = sorted((int(order[a[m]]), int(order[b[m]])))
+        w, k = hi - lo, key[lo:hi]
+        for run in range(2):
+            c, s, o = count[:w], start[:w], shift[:w]
+            if run == 0:
+                first = rank[lo + 1:hi + 1]
+                np.subtract(np.take(ends[1:], k, out=c, mode="clip"), first, out=c)
+            else:
+                first = np.take(ends[ny - 2:], k, out=o, mode="clip")
+                np.subtract(np.take(ends[ny + 1:], k, out=c, mode="clip"), first, out=c)
+            t = int(np.cumsum(c, out=s)[-1])
+            if t == 0:
+                continue
+            s -= c  # each row's first pair
+            np.subtract(first, s, out=o)  # pair p of row r compares with position p + o[r]
+            # row of each pair: the number of rows starting at or before it, less 1
+            row = a[:t + 1]
+            row.fill(0)
+            np.add.at(row, s, 1)
+            row = np.cumsum(row[:t], out=row[:t])
+            row -= 1
+            q = np.add(np.take(o, row, out=b[:t], mode="clip"), rank[:t], out=b[:t])
+            row += lo
+            dist = np.abs(np.subtract(np.take(sp, row, out=u[:t], mode="clip"),
+                                      np.take(sp, q, out=v[:t], mode="clip"), out=u[:t]), out=d[:t])
+            m = int(np.argmin(dist))
+            if dist[m] < best:
+                best = float(dist[m])
+                bi, bj = sorted((int(order[row[m]]), int(order[q[m]])))
     return best, bi, bj
+
+
+def _arange(out: np.ndarray, first: int = 0) -> np.ndarray:
+    """out[i] = i for i >= first in the integer array `out`, a block at a time."""
+    for lo in range(first, out.size, _RUN.size):
+        np.add(_RUN[:out.size - lo], lo, out=out[lo:lo + _RUN.size])
+    return out
 
 
 def check_full_diversity(cs: ConstellationSets) -> DiversityReport:
@@ -308,7 +409,8 @@ def check_full_diversity(cs: ConstellationSets) -> DiversityReport:
     |sum_i dx_i| (the coding-gain metric, 0 when two codewords collide);
     the witness is a pair of per-antenna index tuples attaining it.
     """
-    d, i, j = _min_pairwise(sum_constellation(cs))
+    with _SCAN.frame() as alloc:
+        d, i, j = _min_pairwise(sum_constellation(cs, alloc), alloc)
     n = cs.codebook_size
     witness = None
     if i >= 0:
@@ -350,7 +452,9 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
     scores its leading 64 sums the same way (when |C_i| <= 64), then each
     candidate left on its leading 1024 sums (`_candidate_min`) and last on
     the whole stage. Scan order, ties and result therefore equal a full
-    scoring of every grid point.
+    scoring of every grid point. A scale's rotations are b times phasors
+    computed once per run, and its candidates are visited only where their
+    leading-sum minimum clears the bar, from one record to the next.
 
     The result reports the achieved min_sum_distance, so coarse grids are
     honest about what they found: the last stage's winner was scored on
@@ -363,6 +467,7 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
     energies = [float(np.mean(np.abs(c) ** 2)) for c in base.sets]
     b_values = grid.scale_values()
     phi_values = grid.rotation_values()
+    phasors = np.exp(1j * phi_values)  # b * phasors equals each b * exp(1j * phi) under ==
 
     scales = np.ones(base.nt)
     rotations = np.zeros(base.nt)
@@ -384,21 +489,28 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
         for b in b_values:
             if spent + b * b * energies[i] > power_budget:
                 break  # b ascends, so all later scales are infeasible too
-            ws = [b * np.exp(1j * phi) for phi in phi_values]
-            minima = _all_pairs_minima(lead, c, ws) if lead.size else [np.inf] * len(ws)
-            for phi, w, d in zip(phi_values, ws, minima):
-                # the incumbent changes only above `bar`
+            ws = b * phasors
+            minima = _all_pairs_minima(lead, c, ws) if lead.size else np.full(ws.size, np.inf)
+            k = 0
+            while True:  # from record to record: the incumbent changes only above `bar`
                 bar = DEFAULT_DISTINCT_TOL if best is None else best_val * (1 + _TIE_REL)
-                if d > bar and lead.size < prefix.size:
-                    d = _candidate_min(prefix, w * c, bar)
-                if d > bar:
-                    best_val, best = d, (float(b), float(phi), w)
+                for k in k + np.flatnonzero(minima[k:] > bar):
+                    d = minima[k]
+                    if lead.size < prefix.size:
+                        d = _candidate_min(prefix, ws[k] * c, bar)
+                    if d > bar:
+                        best_val, best = d, (float(b), float(phi_values[k]), ws[k])
+                        break
+                else:
+                    break
+                k += 1
         if best is None:
             raise InfeasibleDesignError(
                 f"no full-diversity point found for set {i + 1} within the budget")
         scales[i], rotations[i], w = best
-        prefix = (prefix[:, None] + w * c[None, :]).ravel()
         spent += scales[i] * scales[i] * energies[i]
+        if i + 1 < base.nt:
+            prefix = _stage_sums(prefix, w * c)
 
     # the w * c products the stages scored, summed in the same order, so the
     # last winner's distance is exactly these sets' min_sum_distance
@@ -407,20 +519,28 @@ def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
                               rotations=rotations, min_sum_distance=best_val)
 
 
-def _all_pairs_minima(prefix: np.ndarray, c: np.ndarray, ws: list) -> np.ndarray:
+def _all_pairs_minima(prefix: np.ndarray, c: np.ndarray, ws) -> np.ndarray:
     """Exact minimum pairwise distance of the sums prefix + w c for each w in
     ws, for stages of at most _ALL_PAIRS_MAX sums: _min_pairwise's all-pairs
     rule over one more axis, equal to it under ==, in chunks of rotations
     holding about _PAIR_CHUNK pairs."""
+    ws = np.asarray(ws)
     n = prefix.size * c.size
-    i, j = np.triu_indices(n, 1)
-    rows = max(1, _PAIR_CHUNK // i.size)
-    out = []
-    for lo in range(0, len(ws), rows):
-        wc = np.array(ws[lo:lo + rows])[:, None] * c[None, :]
-        pts = (prefix[None, :, None] + wc[:, None, :]).reshape(wc.shape[0], n)
-        out.append(np.abs(pts[:, i] - pts[:, j]).min(axis=1))
-    return np.concatenate(out)
+    i, j = _pairs(n)
+    rows = max(1, min(ws.size, _PAIR_CHUNK // i.size))
+    out = np.empty(ws.size)
+    with _SCAN.frame() as alloc:
+        wc, pts = alloc((rows, c.size), complex), alloc((rows, prefix.size, c.size), complex)
+        pi, pj, d = alloc((rows, i.size), complex), alloc((rows, i.size), complex), alloc((rows, i.size))
+        for lo in range(0, ws.size, rows):
+            m = min(rows, ws.size - lo)
+            np.multiply(ws[lo:lo + m, None], c[None, :], out=wc[:m])
+            np.add(prefix[None, :, None], wc[:m, None, :], out=pts[:m])
+            flat = pts[:m].reshape(m, n)
+            np.take(flat, i, axis=1, out=pi[:m], mode="clip")
+            np.subtract(pi[:m], np.take(flat, j, axis=1, out=pj[:m], mode="clip"), out=pi[:m])
+            np.min(np.abs(pi[:m], out=d[:m]), axis=1, out=out[lo:lo + m])
+    return out
 
 
 def _candidate_min(prefix: np.ndarray, wc: np.ndarray, bar: float) -> float:
@@ -430,12 +550,17 @@ def _candidate_min(prefix: np.ndarray, wc: np.ndarray, bar: float) -> float:
     than the whole, so a subset minimum at most `bar` settles the candidate.
     Its leading 64 sums are bit for bit those `_all_pairs_minima` formed."""
     if prefix.size * wc.size > _SUBSET_SUMS:
-        rows = max(1, _SUBSET_SUMS // wc.size)
-        d, _, _ = _min_pairwise((prefix[:rows, None] + wc[None, :]).ravel())
+        d = _scored(prefix[:max(1, _SUBSET_SUMS // wc.size)], wc)
         if d <= bar:
             return d
-    d, _, _ = _min_pairwise((prefix[:, None] + wc[None, :]).ravel())
-    return d
+    return _scored(prefix, wc)
+
+
+def _scored(prefix: np.ndarray, wc: np.ndarray) -> float:
+    """Minimum pairwise distance of the sums prefix + wc, formed and scanned
+    in one frame of the thread's workspace, so every scan takes the same slots."""
+    with _SCAN.frame() as alloc:
+        return _min_pairwise(_stage_sums(prefix, wc, alloc), alloc)[0]
 
 
 def save_constellation(cs: ConstellationSets, path) -> None:

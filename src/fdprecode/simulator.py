@@ -12,10 +12,10 @@ thread runs every batch on the calling thread.
 A batch runs as a loop over `_TILE`-trial tiles, so that a tile's arrays
 stay in cache. Each stage, from the draws to the decoder's gathers, sizes
 its own tile-sized arrays and takes them from the `alloc(shape, dtype)` it
-is passed, here the thread's `_Workspace.take`: after a thread's first
-tile, tiles allocate, free and page-fault nothing tile-sized. Each trial
-owns its Philox window and every stage works row by row, so counts do not
-depend on the tile size.
+is passed, here a frame of the engine's `Workspace` (see `workspace`):
+after a thread's first tile, tiles allocate, free and page-fault nothing
+tile-sized. Each trial owns its Philox window and every stage works row by
+row, so counts do not depend on the tile size.
 
 SNR convention: the grid is average received SNR per receive antenna. For
 the proposed scheme E||H F x||^2 = nt * nr * Es (the rank-one precoder adds
@@ -32,7 +32,6 @@ import contextlib
 import functools
 import math
 import numbers
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +43,7 @@ from .constellation import ConstellationSets, average_energy, sum_constellation
 from .detector import ExhaustiveDecoder, FastMLDecoder, codeword_matrix
 from .errors import ConfigurationError
 from .precoder import feedback_angles_batch
+from .workspace import Workspace
 
 SCHEMES = ("proposed", "unprecoded_vblast")
 
@@ -152,39 +152,6 @@ def wilson_interval(errors, trials):
     return lo, hi
 
 
-class _Workspace(threading.local):
-    """One thread's scratch memory for the tile pipeline.
-
-    `take(shape, dtype)` hands out arrays like `np.empty`. The i-th request
-    of a tile is a view of the i-th buffer, kept across tiles and grown only
-    when a request outsizes it, so in steady state a thread allocates, frees
-    and page-faults nothing tile-sized.
-    """
-
-    def __init__(self):
-        self.slots, self.next = [], 0  # per request: (shape, dtype), its view, the buffer
-
-    def take(self, shape, dtype=float):
-        i, self.next = self.next, self.next + 1
-        if i == len(self.slots):
-            self.slots.append((None, None, np.empty(0, np.uint8)))
-        key, view, buf = self.slots[i]
-        if key != (shape, dtype):
-            size = shape if isinstance(shape, int) else math.prod(shape)
-            nbytes = size * np.dtype(dtype).itemsize
-            if buf.size < nbytes:
-                buf = np.empty(nbytes, np.uint8)
-            view = buf[:nbytes].view(dtype).reshape(shape)
-            self.slots[i] = ((shape, dtype), view, buf)
-        return view
-
-    def tiles(self, first: int, count: int):
-        """(first, n) of each tile of trials [first, first + count); each starts at buffer 0."""
-        for lo in range(first, first + count, _TILE):
-            self.next = 0
-            yield lo, min(_TILE, first + count - lo)
-
-
 class _Engine:
     """Precomputed tables plus the per-tile trial pipeline for one config;
     `symbols[k]` is what codeword k sends: its sum, or its row (baseline)."""
@@ -194,7 +161,7 @@ class _Engine:
         self.m = 1 << cfg.bits_per_symbol  # points per antenna set
         self.n_h = 2 * cfg.nr * cfg.nt
         self.radix = float(self.m) ** np.arange(cfg.nt - 1, -1, -1)
-        self.workspace = _Workspace()
+        self.workspace = Workspace()
         if cfg.scheme == "proposed":
             self.symbols = sum_constellation(cfg.constellation)
             self.decoder = FastMLDecoder(self.symbols)
@@ -203,11 +170,11 @@ class _Engine:
             self.decoder = ExhaustiveDecoder(self.symbols)
 
     def run_batch(self, point_idx: int, sigma2: float, first: int, count: int) -> int:
-        return sum(self.run_tile(point_idx, sigma2, lo, n)
-                   for lo, n in self.workspace.tiles(first, count))
+        return sum(self.run_tile(point_idx, sigma2, lo, n, alloc)
+                   for alloc, lo, n in _tiles(self.workspace, first, count))
 
-    def run_tile(self, point_idx: int, sigma2: float, first: int, count: int) -> int:
-        cfg, alloc = self.cfg, self.workspace.take
+    def run_tile(self, point_idx: int, sigma2: float, first: int, count: int, alloc) -> int:
+        cfg = self.cfg
         nt, nr, n_h = cfg.nt, cfg.nr, self.n_h
         u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_CER, point_idx, first, count,
                                    cfg.words_per_trial, alloc)
@@ -233,6 +200,14 @@ class _Engine:
         y += noise
         decisions = self.decoder.decode_batch(y, transfer, alloc)
         return int(np.count_nonzero(np.not_equal(decisions, true_idx, out=alloc((count,), bool))))
+
+
+def _tiles(ws: Workspace, first: int, count: int):
+    """(alloc, first, n) of each tile of trials [first, first + count); every
+    tile takes its arrays from one frame of `ws`, so each reuses the same slots."""
+    for lo in range(first, first + count, _TILE):
+        with ws.frame() as alloc:
+            yield alloc, lo, min(_TILE, first + count - lo)
 
 
 def _pool(threads: int):
@@ -296,11 +271,11 @@ def sample_dmin_pdf(nt: int, nr: int, seed: int, count: int, threads: int = 1) -
     if not 1 <= count <= _MAX_COUNT:
         raise ConfigurationError(f"count must lie in [1, {_MAX_COUNT}], got {count}")
 
-    words, ws, out = 2 * nr * nt, _Workspace(), np.empty(count)
+    words, ws, out = 2 * nr * nt, Workspace(), np.empty(count)
 
     def draw(first, n):
-        for lo, t in ws.tiles(first, n):
-            u = streams.trial_uniforms(seed, streams.PURPOSE_DMIN, 0, lo, t, words, ws.take)
+        for alloc, lo, t in _tiles(ws, first, n):
+            u = streams.trial_uniforms(seed, streams.PURPOSE_DMIN, 0, lo, t, words, alloc)
             g = streams.normal_from_uniform(u)
             # 2*|h|^2 summed = 2*||H||_F^2 directly
             np.sum(np.square(g, out=g), axis=1, out=out[lo:lo + t])

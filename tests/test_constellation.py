@@ -24,6 +24,7 @@ from fdprecode.constellation import (
     _min_pairwise,
 )
 from fdprecode.errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesignError
+from fdprecode.workspace import Workspace
 
 
 def brute_min_pairwise(points):
@@ -252,9 +253,9 @@ def _counting_grid_passes(monkeypatch):
     passes = []
     grid_closest = constellation._grid_closest
 
-    def counted(points, side):
+    def counted(points, side, alloc=np.empty):
         passes.append(side)
-        return grid_closest(points, side)
+        return grid_closest(points, side, alloc)
 
     monkeypatch.setattr(constellation, "_grid_closest", counted)
     return passes
@@ -298,16 +299,18 @@ def test_closest_pair_at_the_all_pairs_cutoff(n):
 
 
 def test_closest_pair_memory_is_bounded():
-    # the 16x1 lattice and the 4x4 preset's colliding sums, 65536 points each
+    # the 16x1 lattice and the 4x4 preset's colliding sums, 65536 points each;
+    # a fresh workspace's first growth counts against the bound too
     for nt, bits in [(16, 1), (4, 4)]:
         sums = sum_constellation(preset(nt, bits))
-        tracemalloc.start()
-        try:
-            _min_pairwise(sums)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8e6
+        for alloc in (np.empty, Workspace().take):
+            tracemalloc.start()
+            try:
+                _min_pairwise(sums, alloc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8e6
 
 
 POINT_LISTS = st.one_of(
@@ -536,9 +539,9 @@ def test_optimizer_matches_naive_oracle_where_pruning_acts(monkeypatch):
     assert oracle is not None
     sizes = []
 
-    def counted(points):
+    def counted(points, alloc=np.empty):
         sizes.append(points.size)
-        return _min_pairwise(points)
+        return _min_pairwise(points, alloc)
 
     monkeypatch.setattr(constellation, "_min_pairwise", counted)
     res = optimize_rotations_scalings(base, grid, 10.7)
@@ -550,6 +553,99 @@ def test_optimizer_matches_naive_oracle_where_pruning_acts(monkeypatch):
     assert 1 <= sizes.count(65536) <= 5
     # the leading 64 sums settle most of the 180 candidates of the 256-sum stage
     assert 1 <= sizes.count(256) < 180
+    assert res.min_sum_distance == check_full_diversity(res.sets).min_sum_distance
+
+
+# the benchmark's design grids and the finer grids CI runs
+DESIGN_GRIDS = [GridSpec(0.025, np.pi / 36), GridSpec(0.05, np.pi / 18),
+                GridSpec(0.0025, np.pi / 36), GridSpec(0.01, np.pi / 36)]
+
+
+@pytest.mark.parametrize("grid", DESIGN_GRIDS, ids=["c7", "4x16-QAM", "3x16-QAM-fine", "4x16-QAM-fine"])
+def test_rotation_phasors_equal_the_scalar_products(grid):
+    # the optimizer forms each scale's rotations as b * exp(1j * phis) once;
+    # every one must be bit for bit the product it scored one at a time
+    phis = grid.rotation_values()
+    phasors = np.exp(1j * phis)
+    for b in grid.scale_values():
+        batched = b * phasors
+        scalar = np.array([b * np.exp(1j * phi) for phi in phis])
+        assert np.all(batched == scalar)
+        assert np.array_equal(batched.view(np.uint64), scalar.view(np.uint64))  # signed zeros too
+
+
+def test_pair_tables_are_cached_and_read_only():
+    for n in range(2, _ALL_PAIRS_MAX + 1):
+        i, j = constellation._pairs(n)
+        expected = np.triu_indices(n, 1)
+        assert np.array_equal(i, expected[0]) and np.array_equal(j, expected[1])
+        assert not i.flags.writeable and not j.flags.writeable
+        assert constellation._pairs(n)[0] is i
+
+
+STEADY_DESIGN_RUNS = {
+    "check-16x1": lambda: check_full_diversity(preset(16, 1)),
+    "check-8x2": lambda: check_full_diversity(preset(8, 2)),
+    "optimize-4x16-QAM": lambda: optimize_rotations_scalings(
+        ConstellationSets((qam_points(16),) * 4, 4), GridSpec(0.05, np.pi / 18), 10.7),
+}
+
+
+@pytest.mark.parametrize("name", STEADY_DESIGN_RUNS)
+def test_steady_state_design_scans_do_not_page_fault(name):
+    # a 65536-sum scan that allocated its arrays afresh would fault hundreds
+    # of times; the thread's workspace keeps them from call to call
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RUSAGE_THREAD"):
+        pytest.skip("per-thread resource usage is not available here")
+    run = STEADY_DESIGN_RUNS[name]
+    first = run()
+    before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
+    second = run()
+    faults = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before
+    assert faults <= 48
+    if isinstance(first, constellation.DiversityReport):
+        assert first == second
+    else:
+        assert first.min_sum_distance == second.min_sum_distance
+
+
+def test_scans_never_take_a_slot_their_caller_holds(monkeypatch):
+    # a caller holding arrays of the shared workspace keeps them intact
+    # through a check and a whole design run that scan from it
+    def bits(a):
+        return a.view(np.uint64).copy()
+
+    with constellation._SCAN.frame() as alloc:
+        held = sum_constellation(preset(8, 2), alloc)
+        report = check_full_diversity(preset(16, 1))
+        assert report.min_sum_distance == 0.015625
+        assert np.array_equal(bits(held), bits(sum_constellation(preset(8, 2))))
+
+        # and the optimizer's stage sums survive the scans above them
+        scanned, verified = [], []
+        stage_sums, min_pairwise = constellation._stage_sums, constellation._min_pairwise
+
+        def recorded(prefix, wc, alloc=np.empty):
+            out = stage_sums(prefix, wc, alloc)
+            scanned.append((out, (prefix[:, None] + wc[None, :]).ravel()))
+            return out
+
+        def checked(points, alloc=np.empty):
+            result = min_pairwise(points, alloc)
+            for out, fresh in scanned:
+                if out is points:
+                    assert np.array_equal(bits(points), bits(fresh))
+                    verified.append(points.size)
+            return result
+
+        monkeypatch.setattr(constellation, "_stage_sums", recorded)
+        monkeypatch.setattr(constellation, "_min_pairwise", checked)
+        res = optimize_rotations_scalings(ConstellationSets((qam_points(16),) * 4, 4),
+                                          GridSpec(0.05, np.pi / 18), 10.7)
+        assert {256, 1024, 4096, 65536} <= set(verified)
+        assert np.array_equal(bits(held), bits(sum_constellation(preset(8, 2))))
+    monkeypatch.undo()
     assert res.min_sum_distance == check_full_diversity(res.sets).min_sum_distance
 
 

@@ -104,3 +104,23 @@ def test_design_commands_leave_scipy_special_unloaded(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _USAGE_ERROR], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+# the manifest reads scipy's version only when it is written
+_CLI_IMPORT = textwrap.dedent("""
+    import json, os, sys
+    import fdprecode.cli
+    assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+    path = fdprecode.cli.write_manifest(os.path.join(sys.argv[1], "out"), "check-constellation", {}, [])
+    import scipy
+    assert json.load(open(path))["versions"]["scipy"] == scipy.__version__
+""")
+
+
+def test_importing_the_cli_leaves_scipy_unloaded(tmp_path):
+    src = str(pathlib.Path(fdprecode.__file__).parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", _CLI_IMPORT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
