@@ -282,7 +282,8 @@ def _min_pairwise(points: np.ndarray, alloc=np.empty) -> tuple[float, int, int]:
         d = np.abs(points[i] - points[j])
         k = int(np.argmin(d))
         return float(d[k]), int(i[k]), int(j[k])
-    w, h = np.ptp(points.real), np.ptp(points.imag)
+    origin = points.real.min(), points.imag.min()
+    w, h = points.real.max() - origin[0], points.imag.max() - origin[1]
     span = max(w, h)
     if not np.isfinite(span):
         raise ConfigurationError("points must be finite")
@@ -295,25 +296,26 @@ def _min_pairwise(points: np.ndarray, alloc=np.empty) -> tuple[float, int, int]:
     d = (u + v + np.sqrt((u + v) ** 2 + 4 * (n - 1) * u * v)) / (2 * (n - 1)) * span
     side = max(d * slack * slack, np.finfo(float).tiny)
     while True:
-        best, i, j = _grid_closest(points, side, alloc)
+        best, i, j = _grid_closest(points, side, origin, alloc)
         if best * slack <= side:
             return best, i, j
         side = min(best, 2 * side) * slack
 
 
-def _grid_closest(points: np.ndarray, side: float, alloc=np.empty) -> tuple[float, int, int]:
+def _grid_closest(points: np.ndarray, side: float, origin, alloc=np.empty) -> tuple[float, int, int]:
     """Closest pair (d, i, j), i < j, among points in the same or adjacent
-    grid cells of `side`, or (inf, -1, -1) if no two points are neighbours;
-    the scan ends early at a collision. Its arrays come from `alloc`, and
-    every candidate pair is expanded into them, a chunk at a time."""
+    cells of the `side` grid cornered at origin = (min real, min imag), or
+    (inf, -1, -1) if no two points are neighbours; the scan ends early at a
+    collision. Its arrays come from `alloc`, and every candidate pair is
+    expanded into them, a chunk at a time."""
     n = points.size
     f, cx, cy = alloc((n,)), alloc((n,), np.intp), alloc((n,), np.intp)
     # 0, 1, 2, ...: a chunk holds at most _PAIR_CHUNK pairs or one row's,
     # fewer than n; filled to n here and to the most pairs once they are known
     ranks = alloc((max(n, _PAIR_CHUNK) + 1,), np.intp)
     rank = _arange(ranks[:n + 1])
-    for part, cell in ((points.real, cx), (points.imag, cy)):
-        np.floor(np.divide(np.subtract(part, part.min(), out=f), side, out=f), out=f)
+    for part, low, cell in ((points.real, origin[0], cx), (points.imag, origin[1], cy)):
+        np.floor(np.divide(np.subtract(part, low, out=f), side, out=f), out=f)
         np.copyto(cell, f, casting="unsafe")
     cy += 1
     ny = int(cy.max()) + 2  # an empty row below and above every column

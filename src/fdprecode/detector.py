@@ -26,19 +26,25 @@ from .errors import ConfigurationError, EnumerationBudgetError
 BRUTEFORCE_BUDGET = 1 << 16
 
 
-def codeword_matrix(cs: ConstellationSets) -> np.ndarray:
-    """All codewords as an (N, nt) array in lexicographic index order; a
-    codebook over BRUTEFORCE_BUDGET raises, pointing to the precoded scheme."""
+def _enumerable(cs: ConstellationSets) -> int:
+    """The codebook size; one over BRUTEFORCE_BUDGET raises, pointing to the precoded scheme."""
     n = cs.codebook_size
     if n > BRUTEFORCE_BUDGET:
         raise EnumerationBudgetError(
             f"enumeration infeasible: {n} codewords exceed the budget {BRUTEFORCE_BUDGET}; "
             "the unprecoded_vblast baseline decodes exhaustively; use --scheme proposed")
+    return n
+
+
+def codeword_matrix(cs: ConstellationSets) -> np.ndarray:
+    """All codewords as an (N, nt) array in lexicographic index order; a
+    codebook over BRUTEFORCE_BUDGET raises, pointing to the precoded scheme."""
+    n = _enumerable(cs)
     return np.stack(np.meshgrid(*cs.sets, indexing="ij"), -1).reshape(n, cs.nt)
 
 
 class ExhaustiveDecoder:
-    """ML decoder over an (N, nt) codebook, for the unprecoded baseline.
+    """ML decoder over the codebook of a `ConstellationSets`, for the unprecoded baseline.
 
     `decode_batch(y, transfer)` returns argmin_k ||y_b - transfer_b @ x_k||^2
     for every row b, ties to the smallest k. Real arithmetic, no BLAS: per
@@ -46,32 +52,31 @@ class ExhaustiveDecoder:
     antenna order n; dr * dr + di * di is summed over o. A prefix x_k[:n + 1]
     that codewords share is computed once, in (prefixes, rows) planes of at
     most max(N, 2**15) elements, so each codeword's roundings are its own
-    sequence's. The prefix tree is built once, here. Gathers use `np.take`'s
-    clip mode, which writes `out=` in place where raise mode copies; every
-    index is in range.
+    sequence's. The prefix tree is the codebook's lexicographic order: prefix
+    k of antenna n extends prefix k // |C_n| of antenna n - 1 by point
+    k % |C_n| of C_n, so the leaves are the codewords in index order. Gathers
+    use `np.take`'s clip mode, which writes `out=` in place where raise mode
+    copies; every index is in range.
     """
 
-    def __init__(self, codewords: np.ndarray):
-        inv, self.levels = np.zeros(len(codewords), dtype=np.int64), []
-        for col in codewords.T:  # per antenna n, the distinct prefixes x_k[:n + 1] by (parent, value)
-            u, vi = np.unique(col, return_inverse=True)
-            keys, inv = np.unique(inv * u.size + vi, return_inverse=True)
-            self.levels.append((u.real[:, None], u.imag[:, None], keys // u.size, keys % u.size))
-        self.inv = inv
+    def __init__(self, cs: ConstellationSets):
+        self.size, self.levels = _enumerable(cs), []
+        for k, c in zip(np.cumprod([c.size for c in cs.sets]), cs.sets):
+            prefix = np.arange(k)
+            self.levels.append((c.real[:, None], c.imag[:, None], prefix // c.size, prefix % c.size))
 
     def decode_batch(self, y: np.ndarray, transfer: np.ndarray, alloc=np.empty) -> np.ndarray:
         """Decisions for (B, nr) receptions through (B, nr, nt) transfers; the
         planes and the result come from alloc(shape, dtype), once per call."""
         rows, nr = y.shape
-        step = max(1, min(rows, (1 << 15) // self.inv.size))
-        deep = max(parent.size for _, _, parent, _ in self.levels)  # no level has more values
-        flat = [alloc(deep * step) for _ in range(9)] + [alloc(self.inv.size * step)]
+        step = max(1, min(rows, (1 << 15) // self.size))
+        flat = [alloc(self.size * step) for _ in range(9)]  # no level has more prefixes
         out = alloc(rows, np.int64)
         for lo in range(0, rows, step):
             w = min(step, rows - lo)
-            # contiguous (plane rows, w) views of the flat buffers
+            # contiguous (N, w) views of the flat buffers
             views = (b[:b.size // step * w].reshape(-1, w) for b in flat)
-            xr, xi, tmp, metric, term, *planes, table = views
+            xr, xi, tmp, metric, term, *planes = views
             for o in range(nr):
                 dr, di = y[None, lo:lo + w, o].real, y[None, lo:lo + w, o].imag
                 for lv, ((ur, ui, parent, val), tn) in enumerate(zip(self.levels,
@@ -86,14 +91,12 @@ class ExhaustiveDecoder:
                                      np.take(ar, val, axis=0, out=tmp[:k], mode="clip"), out=nxt_r)
                     di = np.subtract(np.take(di, parent, axis=0, out=nxt_i, mode="clip"),
                                      np.take(ai, val, axis=0, out=tmp[:k], mode="clip"), out=nxt_i)
-                k = dr.shape[0]
                 # o = 0 writes the metric itself: 0.0 + (dr * dr + di * di) is that sum, never -0.0
-                acc = metric[:k] if o == 0 else term[:k]
-                np.add(np.multiply(dr, dr, out=acc), np.multiply(di, di, out=tmp[:k]), out=acc)
+                acc = metric if o == 0 else term
+                np.add(np.multiply(dr, dr, out=acc), np.multiply(di, di, out=tmp), out=acc)
                 if o:
-                    metric[:k] += acc
-            np.argmin(np.take(metric[:k], self.inv, axis=0, out=table, mode="clip"), axis=0,
-                      out=out[lo:lo + w])
+                    metric += acc
+            np.argmin(metric, axis=0, out=out[lo:lo + w])
         return out
 
 

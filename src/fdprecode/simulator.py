@@ -3,17 +3,17 @@
 Every trial owns a fixed-width window of the Philox counter space (see
 `streams`), so per-trial randomness depends only on (seed, purpose, SNR-point
 index, trial index). CER sweeps and d^2_min sampling share one schedule,
-`_groups`: fixed-size batches of trials in fixed-size groups, each group
+`_groups`: fixed-size tiles of trials in fixed-size groups, each group
 built and run only when its turn comes, with the early-stopping rule checked
 between groups. So counts and the stopping decision are bit-identical for
-any worker count. Each call opens one thread pool when threads > 1; one
-thread runs every batch on the calling thread.
+any worker count. Each call opens one thread pool when threads > 1, whose
+tasks are a group's tiles; one thread runs every tile on the calling thread.
 
-A batch runs as a loop over `_TILE`-trial tiles, so that a tile's arrays
-stay in cache. Each stage, from the draws to the decoder's gathers, sizes
-its own tile-sized arrays and takes them from the `alloc(shape, dtype)` it
-is passed, here a frame of the engine's `Workspace` (see `workspace`):
-after a thread's first tile, tiles allocate, free and page-fault nothing
+A tile is `_TILE` trials vectorized together, so that its arrays stay in
+cache. Each stage, from the draws to the decoder's gathers, sizes its own
+tile-sized arrays and takes them from the `alloc(shape, dtype)` it is
+passed, here a frame of the engine's `Workspace` (see `workspace`): after a
+thread's first tile, tiles allocate, free and page-fault nothing
 tile-sized. Each trial owns its Philox window and every stage works row by
 row, so counts do not depend on the tile size.
 
@@ -47,9 +47,8 @@ from .workspace import Workspace
 
 SCHEMES = ("proposed", "unprecoded_vblast")
 
-_BATCH = 1 << 15        # trials per scheduled unit of work
-_TILE = 1 << 12         # trials vectorized together, so a tile's arrays stay in cache
-_GROUP_BATCHES = 4      # stopping-rule granularity, fixed so thread count is irrelevant
+_TILE = 1 << 12         # trials per task, vectorized together so a tile's arrays stay in cache
+_GROUP = 1 << 17        # stopping-rule granularity in trials, fixed so thread count is irrelevant
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 _MAX_COUNT = 1 << 24    # d^2_min samples held at once for the sort and KS test (128 MB)
 KS_MIN_SAMPLES = 100    # the asymptotic KS p-value is not trusted below this
@@ -167,47 +166,38 @@ class _Engine:
             self.decoder = FastMLDecoder(self.symbols)
         else:
             self.symbols = codeword_matrix(cfg.constellation)
-            self.decoder = ExhaustiveDecoder(self.symbols)
+            self.decoder = ExhaustiveDecoder(cfg.constellation)
 
-    def run_batch(self, point_idx: int, sigma2: float, first: int, count: int) -> int:
-        return sum(self.run_tile(point_idx, sigma2, lo, n, alloc)
-                   for alloc, lo, n in _tiles(self.workspace, first, count))
-
-    def run_tile(self, point_idx: int, sigma2: float, first: int, count: int, alloc) -> int:
+    def run_tile(self, point_idx: int, sigma2: float, first: int, count: int) -> int:
+        """Codeword errors among trials [first, first + count), whose arrays
+        come from one frame of this thread's workspace."""
         cfg = self.cfg
         nt, nr, n_h = cfg.nt, cfg.nr, self.n_h
-        u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_CER, point_idx, first, count,
-                                   cfg.words_per_trial, alloc)
-        h = rayleigh(streams.normal_from_uniform(u[:, :n_h]), nr, nt, alloc)
-        digits = u[:, n_h:n_h + nt]
-        np.floor(np.multiply(digits, self.m, out=digits), out=digits)  # u < 1, so each is below m
-        # the mixed-radix codeword index, row-major over antennas: exact in floats below 2**53
-        true_idx = alloc((count,), np.int64)
-        np.copyto(true_idx, np.matmul(digits, self.radix, out=alloc((count,))), casting="unsafe")
-        gn = streams.normal_from_uniform(u[:, n_h + nt:])
-        noise = scaled_complex(gn[:, :nr], gn[:, nr:], np.sqrt(sigma2 / 2.0),
-                               alloc((count, nr), complex))
-        x = alloc((count,) + self.symbols.shape[1:], complex)
-        # clip mode writes out= in place, where raise mode copies; every index is in range
-        np.take(self.symbols, true_idx, axis=0, out=x, mode="clip")
-        y = alloc((count, nr), complex)
-        if cfg.scheme == "proposed":
-            _, transfer = feedback_angles_batch(h, alloc)  # h_eff
-            np.multiply(transfer, x[:, None], out=y)
-        else:
-            transfer = h
-            np.einsum("bon,bn->bo", h, x, out=y)
-        y += noise
-        decisions = self.decoder.decode_batch(y, transfer, alloc)
-        return int(np.count_nonzero(np.not_equal(decisions, true_idx, out=alloc((count,), bool))))
-
-
-def _tiles(ws: Workspace, first: int, count: int):
-    """(alloc, first, n) of each tile of trials [first, first + count); every
-    tile takes its arrays from one frame of `ws`, so each reuses the same slots."""
-    for lo in range(first, first + count, _TILE):
-        with ws.frame() as alloc:
-            yield alloc, lo, min(_TILE, first + count - lo)
+        with self.workspace.frame() as alloc:
+            u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_CER, point_idx, first, count,
+                                       cfg.words_per_trial, alloc)
+            h = rayleigh(streams.normal_from_uniform(u[:, :n_h]), nr, nt, alloc)
+            digits = u[:, n_h:n_h + nt]
+            np.floor(np.multiply(digits, self.m, out=digits), out=digits)  # u < 1, so each is below m
+            # the mixed-radix codeword index, row-major over antennas: exact in floats below 2**53
+            true_idx = alloc((count,), np.int64)
+            np.copyto(true_idx, np.matmul(digits, self.radix, out=alloc((count,))), casting="unsafe")
+            gn = streams.normal_from_uniform(u[:, n_h + nt:])
+            noise = scaled_complex(gn[:, :nr], gn[:, nr:], np.sqrt(sigma2 / 2.0),
+                                   alloc((count, nr), complex))
+            x = alloc((count,) + self.symbols.shape[1:], complex)
+            # clip mode writes out= in place, where raise mode copies; every index is in range
+            np.take(self.symbols, true_idx, axis=0, out=x, mode="clip")
+            y = alloc((count, nr), complex)
+            if cfg.scheme == "proposed":
+                _, transfer = feedback_angles_batch(h, alloc)  # h_eff
+                np.multiply(transfer, x[:, None], out=y)
+            else:
+                transfer = h
+                np.einsum("bon,bn->bo", h, x, out=y)
+            y += noise
+            decisions = self.decoder.decode_batch(y, transfer, alloc)
+            return int(np.count_nonzero(np.not_equal(decisions, true_idx, out=alloc((count,), bool))))
 
 
 def _pool(threads: int):
@@ -220,17 +210,16 @@ def _pool(threads: int):
 
 
 def _groups(fn, total: int, pool):
-    """Run fn(first, n) over trials 0..total-1, one group of batches at a time.
+    """Run fn(first, n) over the tiles of trials 0..total-1, one group at a time.
 
-    Yields (trials done so far, the group's results in batch order). A group
+    Yields (trials done so far, the group's results in tile order). A group
     is built and submitted only when the caller asks for it, so stopping
     early leaves nothing queued.
     """
-    step = _GROUP_BATCHES * _BATCH
-    for g0 in range(0, total, step):
-        end = min(g0 + step, total)
-        firsts = range(g0, end, _BATCH)
-        counts = [min(_BATCH, end - first) for first in firsts]
+    for g0 in range(0, total, _GROUP):
+        end = min(g0 + _GROUP, total)
+        firsts = range(g0, end, _TILE)
+        counts = [min(_TILE, end - first) for first in firsts]
         yield end, list((pool.map if pool else map)(fn, firsts, counts))
 
 
@@ -248,7 +237,7 @@ def run_cer_sweep(cfg: SimConfig, threads: int = 1) -> CerCurve:
         engine = _Engine(cfg)
         for k, snr_db in enumerate(cfg.snr_grid_db):
             sigma2 = cfg.sigma2(snr_db)
-            run = functools.partial(engine.run_batch, k, sigma2)
+            run = functools.partial(engine.run_tile, k, sigma2)
             for done, counts in _groups(run, cfg.trials_per_point, pool):
                 trials[k] = done
                 errors[k] += sum(counts)
@@ -274,11 +263,11 @@ def sample_dmin_pdf(nt: int, nr: int, seed: int, count: int, threads: int = 1) -
     words, ws, out = 2 * nr * nt, Workspace(), np.empty(count)
 
     def draw(first, n):
-        for alloc, lo, t in _tiles(ws, first, n):
-            u = streams.trial_uniforms(seed, streams.PURPOSE_DMIN, 0, lo, t, words, alloc)
+        with ws.frame() as alloc:
+            u = streams.trial_uniforms(seed, streams.PURPOSE_DMIN, 0, first, n, words, alloc)
             g = streams.normal_from_uniform(u)
             # 2*|h|^2 summed = 2*||H||_F^2 directly
-            np.sum(np.square(g, out=g), axis=1, out=out[lo:lo + t])
+            np.sum(np.square(g, out=g), axis=1, out=out[first:first + n])
 
     with _pool(threads) as pool:
         for _ in _groups(draw, count, pool):

@@ -253,9 +253,9 @@ def _counting_grid_passes(monkeypatch):
     passes = []
     grid_closest = constellation._grid_closest
 
-    def counted(points, side, alloc=np.empty):
+    def counted(points, side, origin, alloc=np.empty):
         passes.append(side)
-        return grid_closest(points, side, alloc)
+        return grid_closest(points, side, origin, alloc)
 
     monkeypatch.setattr(constellation, "_grid_closest", counted)
     return passes

@@ -102,6 +102,8 @@ def test_codeword_matrix_budget_error_names_the_proposed_scheme():
     cs = geometric_qam_family(16, 4, 0.5)
     with pytest.raises(EnumerationBudgetError, match="--scheme proposed"):
         codeword_matrix(cs)
+    with pytest.raises(EnumerationBudgetError, match="--scheme proposed"):
+        ExhaustiveDecoder(cs)
 
 
 @pytest.mark.parametrize("nr", [1, 2, 3])
@@ -110,7 +112,8 @@ def test_exhaustive_decode_batch_is_the_unprecoded_ml_decoder(nr):
     # nr = 1 lies below nt and nr = 3 above it. 4096 codewords make each
     # chunk 512 / nr rows, so 1100 rows span several chunks.
     q64 = qam_points(64)
-    x = codeword_matrix(ConstellationSets((q64, q64), 6))
+    cs = ConstellationSets((q64, q64), 6)
+    x = codeword_matrix(cs)
     rows = 1100
     h = channels(66, 0, rows, nr, 2)
     rng = np.random.default_rng([66, nr, 0])
@@ -121,7 +124,7 @@ def test_exhaustive_decode_batch_is_the_unprecoded_ml_decoder(nr):
     # (q, p) score alike; small integers keep every metric exact
     h[0] = np.array([2 - 1j, -1 + 3j, 1 + 1j])[:nr, None]
     y[0] = h[0] @ np.array([5 + 3j, -1 - 7j]) + 0.5
-    got = ExhaustiveDecoder(x).decode_batch(y, h)
+    got = ExhaustiveDecoder(cs).decode_batch(y, h)
     for b in range(rows):
         metric = np.linalg.norm(y[b] - x @ h[b].T, axis=1)  # ||y - H x_k|| for every k
         assert got[b] == np.argmin(metric)
@@ -130,17 +133,21 @@ def test_exhaustive_decode_batch_is_the_unprecoded_ml_decoder(nr):
             assert tied.size >= 2 and got[0] == tied[0]
 
 
-@pytest.mark.parametrize("kind", ["qam", "bpsk"])
+@pytest.mark.parametrize("kind", ["qam", "bpsk", "permuted"])
 @pytest.mark.parametrize("nr", [1, 2, 3, 4])
 @pytest.mark.parametrize("nt", [2, 3, 4])
 def test_exhaustive_decode_batch_matches_norm_oracle(nt, nr, kind):
-    # complex 4-QAM or real BPSK on every antenna; rows are chunked
-    # 2**15 // N at a time, so 2 chunks + 1 row end one row into a third.
-    # transfer and y are strided views, not contiguous arrays
-    points = qam_points(4) if kind == "qam" else np.array([-1.0, 1.0])
-    x = codeword_matrix(ConstellationSets((points,) * nt, 2 if kind == "qam" else 1))
+    # complex 4-QAM or real BPSK on every antenna, or 4-QAM in a descending
+    # order rotated by the antenna index, which the prefix tree must keep;
+    # rows are chunked 2**15 // N at a time, so 2 chunks + 1 row end one row
+    # into a third. transfer and y are strided views, not contiguous arrays
+    q4 = qam_points(4)
+    sets = {"qam": (q4,) * nt, "bpsk": (np.array([-1.0, 1.0]),) * nt,
+            "permuted": tuple(np.roll(q4[::-1], n) for n in range(nt))}[kind]
+    cs = ConstellationSets(sets, 1 if kind == "bpsk" else 2)
+    x = codeword_matrix(cs)
     rows = 2 * ((1 << 15) // x.shape[0]) + 1
-    rng = np.random.default_rng([68, nt, nr, kind == "qam"])
+    rng = np.random.default_rng([68, nt, nr, ["bpsk", "qam", "permuted"].index(kind)])
     buf = rng.standard_normal((rows, nt, 2 * nr)) + 1j * rng.standard_normal((rows, nt, 2 * nr))
     transfer = buf[:, :, ::2].transpose(0, 2, 1)
     k = rng.integers(x.shape[0], size=rows)
@@ -148,7 +155,7 @@ def test_exhaustive_decode_batch_matches_norm_oracle(nt, nr, kind):
     ybuf[:, 1::2] = np.einsum("bon,bn->bo", transfer, x[k]) + rng.standard_normal((rows, nr))
     y = ybuf[:, 1::2]
     assert not (transfer.flags.c_contiguous or y.flags.c_contiguous)
-    got = ExhaustiveDecoder(x).decode_batch(y, transfer)
+    got = ExhaustiveDecoder(cs).decode_batch(y, transfer)
     assert np.array_equal(got, ml_decode(y, transfer, x))
     assert np.count_nonzero(got != k) > 0  # the noise makes errors
 
@@ -158,10 +165,11 @@ def test_exhaustive_decode_batch_tie_at_three_antennas():
     # and (r, q, p) score alike. Small integers and halves keep every metric
     # exact, so the tie is exact and goes to the smaller index
     q4 = qam_points(4)
-    x = codeword_matrix(ConstellationSets((q4, q4, q4), 2))
+    cs = ConstellationSets((q4, q4, q4), 2)
+    x = codeword_matrix(cs)
     transfer = np.array([[[2 - 1j, 1 + 3j, 2 - 1j], [-1 + 1j, 2 + 0j, -1 + 1j]]] * 3)
     y = x[[6, 27, 57]] @ transfer[0].T + np.array([[0.5, -0.5j], [0.5 + 0.5j, 0.0], [1.5, 1.5]])
-    got = ExhaustiveDecoder(x).decode_batch(y, transfer)
+    got = ExhaustiveDecoder(cs).decode_batch(y, transfer)
     for b in range(3):
         metric = np.linalg.norm(y[b] - x @ transfer[b].T, axis=1)
         tied = np.nonzero(metric == metric.min())[0]
@@ -172,12 +180,12 @@ def test_exhaustive_decode_batch_memory_is_bounded():
     # 65536 codewords (the 8x2 preset) at nr = 2: the einsum candidate table
     # this replaced peaked at 88 MB on 256 rows
     import tracemalloc
-    x = codeword_matrix(preset(8, 2))
+    cs = preset(8, 2)
     h = channels(69, 0, 256, 2, 8)
     y = h[:, :, 0] * 0.5
     tracemalloc.start()
     try:
-        ExhaustiveDecoder(x).decode_batch(y, h)
+        ExhaustiveDecoder(cs).decode_batch(y, h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

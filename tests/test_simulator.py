@@ -1,4 +1,5 @@
 import sys
+import threading
 import time
 import tracemalloc
 
@@ -132,7 +133,7 @@ def test_huge_trial_cap_stops_after_first_group():
 
 
 def test_symbol_tables_match_per_antenna_loops():
-    # run_batch reads each trial's symbols from the engine's tables at the
+    # run_tile reads each trial's symbols from the engine's tables at the
     # codeword's mixed-radix index; the loops it replaced are the reference
     for nt, bits in [(3, 1), (4, 2), (3, 4)]:
         cs = preset(nt, bits)
@@ -165,12 +166,12 @@ def fast_switching():
     (3, 1, 2, 9.0, "proposed"), (8, 1, 1, 25.0, "proposed"), (16, 1, 1, 50.0, "proposed"),
     (3, 1, 2, 9.0, "unprecoded_vblast")])
 def test_tile_size_does_not_change_counts(monkeypatch, fast_switching, nt, bits, nr, snr, scheme):
-    # 100003 trials end in a partial batch whose last tile is partial too;
-    # 1000 divides no batch, and a tile of _BATCH trials is the whole batch
+    # 100003 trials are one partial group whose last tile is partial; a tile
+    # of _GROUP trials is a whole group, so each group runs as one task
     cfg = SimConfig(nr=nr, constellation=preset(nt, bits), snr_grid_db=(snr,),
                     trials_per_point=100003, seed=4, scheme=scheme)
     runs = []
-    for tile in (simulator._TILE, 1000, simulator._BATCH):
+    for tile in (simulator._TILE, 1000, simulator._GROUP):
         monkeypatch.setattr(simulator, "_TILE", tile)
         for threads in (1, 3):
             curve = run_cer_sweep(cfg, threads=threads)
@@ -181,29 +182,49 @@ def test_tile_size_does_not_change_counts(monkeypatch, fast_switching, nt, bits,
 
 def test_tile_size_does_not_change_dmin_samples(monkeypatch, fast_switching):
     want = sample_dmin_pdf(3, 2, 6, 100003)
-    for tile in (1000, simulator._BATCH):
+    for tile in (1000, simulator._GROUP):
         monkeypatch.setattr(simulator, "_TILE", tile)
         for threads in (1, 3):
             assert np.array_equal(sample_dmin_pdf(3, 2, 6, 100003, threads=threads).view(np.uint64),
                                   want.view(np.uint64))
 
 
+def test_a_group_keeps_every_thread_busy():
+    # a group's tiles are the pool's tasks, so each of 8 threads holds one at
+    # once; a group of fewer tasks than threads would break the barrier
+    barrier = threading.Barrier(8, timeout=5)
+
+    def tile(first, n):
+        barrier.wait()
+        return n
+
+    with simulator._pool(8) as pool:
+        done, counts = next(simulator._groups(tile, 1 << 17, pool))
+    assert done == sum(counts) == 1 << 17
+
+
+def _run_tiles(engine, snr, first):
+    """Run 8 consecutive tiles (32768 trials) of the engine's point 0 from trial `first`."""
+    for lo in range(first, first + 8 * simulator._TILE, simulator._TILE):
+        engine.run_tile(0, engine.cfg.sigma2(snr), lo, simulator._TILE)
+
+
 def test_steady_state_batches_reuse_the_workspace():
-    # after the first batch, a batch makes no new tile-sized buffer
+    # after the first tile, a tile makes no new tile-sized buffer
     for scheme in ("proposed", "unprecoded_vblast"):
         cfg = small_config(nr=2, trials_per_point=1 << 20, scheme=scheme)
         engine = simulator._Engine(cfg)
-        engine.run_batch(0, cfg.sigma2(10.0), 0, simulator._BATCH)
+        _run_tiles(engine, 10.0, 0)
         buffers = [id(buf) for _, _, buf in engine.workspace.slots]
-        engine.run_batch(0, cfg.sigma2(10.0), simulator._BATCH, simulator._BATCH)
+        _run_tiles(engine, 10.0, 8 * simulator._TILE)
         assert [id(buf) for _, _, buf in engine.workspace.slots] == buffers
 
 
 @pytest.mark.parametrize("nt, nr, snr, scheme", [
     (3, 2, 12.0, "proposed"), (3, 2, 12.0, "unprecoded_vblast"), (16, 1, 50.0, "proposed")])
 def test_steady_state_batches_do_not_page_fault(nt, nr, snr, scheme):
-    # one 3x1 nr=2 tile's draw table alone is about 160 pages, so a batch that
-    # allocated its tile arrays afresh would fault hundreds of times
+    # one 3x1 nr=2 tile's draw table alone is about 160 pages, so 8 tiles that
+    # allocated their arrays afresh would fault hundreds of times
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RUSAGE_THREAD"):
         pytest.skip("per-thread resource usage is not available here")
@@ -211,9 +232,9 @@ def test_steady_state_batches_do_not_page_fault(nt, nr, snr, scheme):
                     trials_per_point=1 << 20, seed=0, scheme=scheme)
     engine = simulator._Engine(cfg)
     faults = []
-    for i in range(8):  # 2 warm batches, then 6 measured
+    for i in range(8):  # 2 warm rounds of 8 tiles (32768 trials), then 6 measured
         before = resource.getrusage(resource.RUSAGE_THREAD).ru_minflt
-        engine.run_batch(0, cfg.sigma2(snr), i * simulator._BATCH, simulator._BATCH)
+        _run_tiles(engine, snr, i * 8 * simulator._TILE)
         faults.append(resource.getrusage(resource.RUSAGE_THREAD).ru_minflt - before)
     assert np.median(faults[2:]) <= 8, faults
 
