@@ -341,15 +341,25 @@ def cmd_optimize_constellation(args, options, base) -> int:
     return 0
 
 
+def _sorted_histogram(samples: np.ndarray, bins: int):
+    """`np.histogram(samples, bins)` of finite samples in non-decreasing order,
+    with no sample-sized temporary: a bin's count is the distance between
+    the insertion points of its edges, and the last bin holds the maximum."""
+    edges = np.histogram_bin_edges(samples, bins)
+    at = np.searchsorted(samples, edges)
+    at[-1] = samples.size
+    return np.diff(at), edges
+
+
 def cmd_dmin_pdf(args, options, sets) -> int:
     nt, nr = sets.nt, options["nr"]
     out = _out_path(args, "dmin_pdf.csv")
     samples = sample_dmin_pdf(nt, nr, options["seed"], options["count"], threads=options["threads"])
-    samples.sort()  # in place, once: the KS test takes sorted input as is; counts ignore order
+    samples.sort()  # in place, once: the KS test and the binning read sorted input as is
     dof = 2 * nt * nr
     stat, p_value = ks_test_chisq(samples, dof)
 
-    counts, edges = np.histogram(samples, bins=options["bins"])
+    counts, edges = _sorted_histogram(samples, options["bins"])
     density = counts / (samples.size * np.diff(edges))
     _write_csv(out, "bin_lo,bin_hi,count,density", zip(edges[:-1], edges[1:], counts, density))
     svg = None

@@ -32,8 +32,9 @@ convention (see `workspace`), and numpy makes no temporary of their size.
 `Workspace` that outlives the call, so a second check of 65536 sums
 allocates and page-faults nothing; frames stack, so a scan never takes a
 slot its caller holds. The thread keeps its largest scan's buffers, 80 to
-110 bytes per sum. Other callers, `FastMLDecoder`'s build among them, pass
-`np.empty` and allocate per call.
+110 bytes per sum, up to a 65536-sum scan's: after a larger check or design
+run it drops every buffer over 1 MB that no frame holds. Other callers,
+`FastMLDecoder`'s build among them, pass `np.empty` and allocate per call.
 
 Constellation file format (used by the CLI): a header line ``nt bits``
 followed by one line per point, ``i re im`` with 1-based antenna index i and
@@ -66,8 +67,10 @@ UNVERIFIED_PRESETS = {(3, 4), (4, 4)}
 # equal symmetric designs differ by ulps and must not defeat the lexicographic rule
 _TIE_REL = 1e-9
 
-# the checker's and the optimizer's scan arrays, kept per thread from call to call
+# the checker's and the optimizer's scan arrays, kept per thread from call to
+# call up to a 65536-sum scan's largest buffer, its complex sums
 _SCAN = Workspace()
+_SCAN_KEEP = (1 << 16) * np.dtype(complex).itemsize
 _RUN = np.arange(1 << 12)  # the block `_arange` writes from
 _RUN.setflags(write=False)
 
@@ -402,6 +405,19 @@ def _arange(out: np.ndarray, first: int = 0) -> np.ndarray:
     return out
 
 
+def _keeps_scan_bounded(fn):
+    """fn, after which the thread's workspace drops every unheld buffer over
+    _SCAN_KEEP bytes, so a scan of more than 65536 sums does not pin its memory."""
+    @functools.wraps(fn)
+    def run(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _SCAN.release(_SCAN_KEEP)
+    return run
+
+
+@_keeps_scan_bounded
 def check_full_diversity(cs: ConstellationSets) -> DiversityReport:
     """Exhaustive sum-injectivity check: passes iff all codeword sums are
     pairwise farther apart than DEFAULT_DISTINCT_TOL, the rule FastMLDecoder
@@ -431,6 +447,7 @@ def average_energy(cs: ConstellationSets) -> float:
     return float(sum(float(np.mean(np.abs(c) ** 2)) for c in cs.sets))
 
 
+@_keeps_scan_bounded
 def optimize_rotations_scalings(base: ConstellationSets, grid: GridSpec,
                                 power_budget: float) -> OptimizationResult:
     """Refine a base design by scaling/rotating each set, one set at a time.

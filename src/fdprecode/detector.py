@@ -51,7 +51,8 @@ class ExhaustiveDecoder:
     receive antenna o, Re and Im of transfer[o, n] * x_k[n] come off y_o in
     antenna order n; dr * dr + di * di is summed over o. A prefix x_k[:n + 1]
     that codewords share is computed once, in (prefixes, rows) planes of at
-    most max(N, 2**15) elements, so each codeword's roundings are its own
+    most max(N, 2**15) elements (a level's point products take (|C_n|, rows)
+    planes of the same rows), so each codeword's roundings are its own
     sequence's. The prefix tree is the codebook's lexicographic order: prefix
     k of antenna n extends prefix k // |C_n| of antenna n - 1 by point
     k % |C_n| of C_n, so the leaves are the codewords in index order. Gathers
@@ -60,7 +61,7 @@ class ExhaustiveDecoder:
     """
 
     def __init__(self, cs: ConstellationSets):
-        self.size, self.levels = _enumerable(cs), []
+        self.size, self.points, self.levels = _enumerable(cs), max(c.size for c in cs.sets), []
         for k, c in zip(np.cumprod([c.size for c in cs.sets]), cs.sets):
             prefix = np.arange(k)
             self.levels.append((c.real[:, None], c.imag[:, None], prefix // c.size, prefix % c.size))
@@ -70,7 +71,8 @@ class ExhaustiveDecoder:
         planes and the result come from alloc(shape, dtype), once per call."""
         rows, nr = y.shape
         step = max(1, min(rows, (1 << 15) // self.size))
-        flat = [alloc(self.size * step) for _ in range(9)]  # no level has more prefixes
+        # one level's point products, then the prefix planes: no level has more prefixes
+        flat = [alloc(size * step) for size in (self.points,) * 2 + (self.size,) * 7]
         out = alloc(rows, np.int64)
         for lo in range(0, rows, step):
             w = min(step, rows - lo)

@@ -6,8 +6,9 @@ index, trial index). CER sweeps and d^2_min sampling share one schedule,
 `_groups`: fixed-size tiles of trials in fixed-size groups, each group
 built and run only when its turn comes, with the early-stopping rule checked
 between groups. So counts and the stopping decision are bit-identical for
-any worker count. Each call opens one thread pool when threads > 1, whose
-tasks are a group's tiles; one thread runs every tile on the calling thread.
+any worker count. With threads > 1 each call opens threads - 1 helper
+threads, which take a group's tiles beside the calling thread; one thread
+runs every tile on the calling thread.
 
 A tile is `_TILE` trials vectorized together, so that its arrays stay in
 cache. Each stage, from the draws to the decoder's gathers, sizes its own
@@ -32,6 +33,7 @@ import contextlib
 import functools
 import math
 import numbers
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +55,7 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 _MAX_COUNT = 1 << 24    # d^2_min samples held at once for the sort and KS test (128 MB)
 KS_MIN_SAMPLES = 100    # the asymptotic KS p-value is not trusted below this
 _KS_CHUNK = 1 << 20     # sorted samples per KS step, bounding its temporaries to a few MB
+_ORDER_CHUNK = 1 << 16  # adjacent pairs per step of the KS order check (a 64 KB bool temporary)
 _KS_STRIDE = 64         # sorted samples per KS block, bounded from its first CDF value
 _KS_SLACK = 1e-9        # absorbs rounding in gammainc and in the block bounds
 _MAX_WORDS = 1 << 10    # uniforms per trial, so one tile's draw table stays within 32 MB
@@ -200,27 +203,53 @@ class _Engine:
             return int(np.count_nonzero(np.not_equal(decisions, true_idx, out=alloc((count,), bool))))
 
 
+@contextlib.contextmanager
 def _pool(threads: int):
-    """Context giving a thread pool for threads > 1, else None (the calling thread)."""
+    """Context giving `start(work, n)`, which runs work() on up to n of
+    threads - 1 helper threads and returns their futures; None for one thread."""
     if not isinstance(threads, numbers.Integral) or threads < 1:
         raise ConfigurationError(f"threads must be a positive integer, got {threads!r}")
-    if threads > 1:
-        return concurrent.futures.ThreadPoolExecutor(max_workers=threads)
-    return contextlib.nullcontext()
+    if threads == 1:
+        yield None
+        return
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads - 1) as helpers:
+        yield lambda work, n: [helpers.submit(work) for _ in range(min(n, threads - 1))]
 
 
 def _groups(fn, total: int, pool):
     """Run fn(first, n) over the tiles of trials 0..total-1, one group at a time.
 
-    Yields (trials done so far, the group's results in tile order). A group
-    is built and submitted only when the caller asks for it, so stopping
-    early leaves nothing queued.
+    Yields (trials done so far, the group's results in tile order). The
+    calling thread and the pool's helpers take the group's tiles in turn, so
+    every thread `_pool` was asked for runs tiles. A group is started only
+    when the caller asks for it, so stopping early leaves nothing queued. A
+    tile that raises stops the group's untaken tiles; once every thread has
+    finished its own, the exception of the first tile that raised reaches
+    the caller.
     """
     for g0 in range(0, total, _GROUP):
         end = min(g0 + _GROUP, total)
         firsts = range(g0, end, _TILE)
-        counts = [min(_TILE, end - first) for first in firsts]
-        yield end, list((pool.map if pool else map)(fn, firsts, counts))
+        results, failed, lock, claim = [None] * len(firsts), [], threading.Lock(), iter(firsts)
+
+        def work():
+            while not failed:
+                with lock:
+                    first = next(claim, None)
+                if first is None:
+                    return
+                try:
+                    results[(first - g0) // _TILE] = fn(first, min(_TILE, end - first))
+                except BaseException as e:  # re-raised in the caller below
+                    failed.append((first, e))
+
+        helpers = pool(work, len(firsts) - 1) if pool else []
+        work()
+        for helper in helpers:
+            helper.result()
+        if failed:
+            raise min(failed, key=lambda f: f[0])[1]
+        yield end, results
 
 
 def run_cer_sweep(cfg: SimConfig, threads: int = 1) -> CerCurve:
@@ -283,7 +312,8 @@ def ks_test_chisq(samples: np.ndarray, dof: int):
     F is monotone, so its value at the first of each _KS_STRIDE sorted samples
     bounds every term of that block; only blocks whose bound reaches the
     largest block-start term are evaluated, so the statistic stays exact.
-    Input already in non-decreasing order is read as it is, without a copy.
+    Input already in non-decreasing order is read as it is, without a copy;
+    the order is checked _ORDER_CHUNK pairs at a time.
     """
     from scipy.special import gammainc, kolmogorov
 
@@ -292,20 +322,34 @@ def ks_test_chisq(samples: np.ndarray, dof: int):
     if dof % 2 != 0:
         raise ConfigurationError(f"degrees of freedom must be even, got {dof}")
     values = np.asarray(samples, dtype=float)
-    if not np.all(values[1:] >= values[:-1]):  # a NaN fails this, and np.sort puts it last
-        values = np.sort(values)
     n = values.size
+    for lo in range(0, n - 1, _ORDER_CHUNK):
+        hi = min(lo + _ORDER_CHUNK, n - 1)
+        if not np.all(values[lo + 1:hi + 1] >= values[lo:hi]):  # a NaN fails this, and np.sort puts it last
+            values = np.sort(values)
+            break
     if n < KS_MIN_SAMPLES:
         raise ConfigurationError(f"need at least {KS_MIN_SAMPLES} samples, got {n}")
     if not (values[0] >= 0 and values[-1] < np.inf):  # NaN sorts last
         bad = n - np.count_nonzero((values >= 0) & (values < np.inf))
         raise ConfigurationError(f"samples must be finite and non-negative, {bad} of {n} are not")
-    starts = np.arange(0, n, _KS_STRIDE)
-    f = gammainc(dof / 2.0, values[::_KS_STRIDE] / 2.0)
-    stat = max(np.max((starts + 1) / n - f), np.max(f - starts / n))
-    upper = np.maximum(np.minimum(starts + _KS_STRIDE, n) / n - f,
-                       np.append(f[1:], 1.0) - starts / n)
-    blocks = np.flatnonzero(upper >= stat - _KS_SLACK)
+    # three block-sized arrays, worked in place and freed before the blocks
+    # are evaluated: F at each block's first sample, the block starts (exact
+    # as floats) and one term at a time
+    f = np.divide(values[::_KS_STRIDE], 2.0)
+    gammainc(dof / 2.0, f, out=f)
+    starts = np.arange(0, n, _KS_STRIDE, dtype=float)
+    term = np.add(starts, 1.0)
+    stat = np.max(np.subtract(np.divide(term, n, out=term), f, out=term))
+    stat = max(stat, np.max(np.subtract(f, np.divide(starts, n, out=term), out=term)))
+    # each block's bound: the larger of its last upper and first lower term
+    np.minimum(np.add(starts, _KS_STRIDE, out=term), n, out=term)
+    np.subtract(np.divide(term, n, out=term), f, out=term)
+    starts /= n
+    np.subtract(f[1:], starts[:-1], out=starts[:-1])
+    starts[-1] = 1.0 - starts[-1]
+    blocks = np.flatnonzero(np.maximum(term, starts, out=term) >= stat - _KS_SLACK)
+    del f, starts, term
     step = _KS_CHUNK // _KS_STRIDE
     for lo in range(0, blocks.size, step):
         j = (blocks[lo:lo + step, None] * _KS_STRIDE + np.arange(_KS_STRIDE)).ravel()

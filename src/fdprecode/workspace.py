@@ -41,6 +41,12 @@ class Workspace(threading.local):
             self.slots[i] = ((shape, dtype), view, buf)
         return view
 
+    def release(self, nbytes: int) -> None:
+        """Drop the buffers over `nbytes` bytes of the slots no frame holds."""
+        for i in range(self.next, len(self.slots)):
+            if self.slots[i][2].nbytes > nbytes:
+                self.slots[i] = (None, None, np.empty(0, np.uint8))
+
     @contextlib.contextmanager
     def frame(self):
         """`take`, for requests released when the block ends."""

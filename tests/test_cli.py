@@ -2,6 +2,7 @@ import argparse
 import json
 import pathlib
 import re
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -30,6 +31,7 @@ from fdprecode.constellation import (
 )
 from fdprecode.detector import FastMLDecoder
 from fdprecode.errors import ConfigurationError
+from fdprecode.simulator import ks_test_chisq
 
 
 def run(argv):
@@ -300,6 +302,40 @@ def test_dmin_pdf_outputs(tmp_path, capsys):
     counts = [int(line.split(",")[2]) for line in lines[1:]]
     assert sum(counts) == 30000
     ET.parse(tmp_path / "d.svg")
+
+
+def _on_edges(x, bins):
+    """x with every bin edge of its histogram added twice, sorted."""
+    edges = np.histogram_bin_edges(x, bins)
+    return np.sort(np.concatenate([x, edges, edges]))
+
+
+@pytest.mark.parametrize("bins", [1, 7, 60])
+@pytest.mark.parametrize("samples", [
+    np.sort(np.random.default_rng(5).chisquare(12, 100)),
+    _on_edges(np.random.default_rng(6).chisquare(12, 1000), 7),  # edges from 7 bins, the max among them
+    np.arange(61.0),  # every edge of 60 unit bins is a sample
+    np.full(100, 3.5),  # one value: the edges widen to 3.0 .. 4.0
+])
+def test_sorted_histogram_equals_numpy(samples, bins):
+    counts, edges = cli._sorted_histogram(samples, bins)
+    want_counts, want_edges = np.histogram(samples, bins=bins)
+    assert np.array_equal(edges, want_edges)
+    assert np.array_equal(counts, want_counts) and counts.dtype == want_counts.dtype
+
+
+def test_dmin_pdf_post_processing_makes_no_sample_sized_temporary():
+    # 2^20 sorted samples are 8 MB; np.histogram alone added 2.3 MB
+    samples = np.sort(np.random.default_rng(7).chisquare(12, 1 << 20))
+    ks_test_chisq(samples, 12)  # loads scipy.special outside the trace
+    tracemalloc.start()
+    try:
+        ks_test_chisq(samples, 12)
+        cli._sorted_histogram(samples, 60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_dmin_pdf_rejects_zero_bins(tmp_path, capsys):

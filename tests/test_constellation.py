@@ -610,6 +610,12 @@ def test_steady_state_design_scans_do_not_page_fault(name):
         assert first.min_sum_distance == second.min_sum_distance
 
 
+def test_a_large_check_leaves_no_large_buffer_in_the_thread():
+    # a 2^20-sum scan takes 86 MB of buffers; those over a 65536-sum scan's are dropped
+    assert check_full_diversity(geometric_qam_family(5, 16, 0.2)).passes
+    assert sum(buf.nbytes for _, _, buf in constellation._SCAN.slots) <= 8 << 20
+
+
 def test_scans_never_take_a_slot_their_caller_holds(monkeypatch):
     # a caller holding arrays of the shared workspace keeps them intact
     # through a check and a whole design run that scan from it

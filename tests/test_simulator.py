@@ -203,6 +203,63 @@ def test_a_group_keeps_every_thread_busy():
     assert done == sum(counts) == 1 << 17
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_a_group_runs_on_threads_threads_one_of_them_the_caller(threads):
+    # each group's first `threads` tiles meet at a barrier, so each is held by
+    # a different thread; no more threads than that take the rest
+    barrier = threading.Barrier(threads, timeout=5)
+    seen = {}
+
+    def tile(first, n):
+        seen.setdefault(first // simulator._GROUP, set()).add(threading.get_ident())
+        if first % simulator._GROUP < threads * simulator._TILE:
+            barrier.wait()
+        return first
+
+    with simulator._pool(threads) as pool:
+        groups = list(simulator._groups(tile, 3 * simulator._GROUP, pool))
+    firsts = range(0, 3 * simulator._GROUP, simulator._TILE)
+    assert [first for _, results in groups for first in results] == list(firsts)
+    assert all(len(idents) == threads and threading.get_ident() in idents
+               for idents in seen.values()) and len(seen) == 3
+
+
+@pytest.mark.parametrize("where", ["caller", "helper"])
+def test_a_tile_that_raises_stops_its_group_and_reaches_the_caller(where):
+    # the first two tiles, one on each thread, meet at a barrier; then the
+    # caller's or the helper's raises while the other thread works on
+    caller = threading.get_ident()
+    barrier = threading.Barrier(2, timeout=5)
+    started = []
+
+    def tile(first, n):
+        started.append(first)
+        if first < 2 * simulator._TILE:
+            barrier.wait()
+            if (threading.get_ident() == caller) == (where == "caller"):
+                raise ValueError(where)
+        time.sleep(0.01)
+        return n
+
+    with simulator._pool(2) as pool, pytest.raises(ValueError, match=where):
+        for _ in simulator._groups(tile, 4 * simulator._GROUP, pool):
+            pass
+    assert max(started) < simulator._GROUP  # no tile of a later group started
+    assert len(started) < simulator._GROUP // simulator._TILE  # nor the rest of this one
+
+
+def test_a_baseline_tile_sizes_the_point_planes_by_the_largest_set():
+    # 3x1 nr=2: N = 8 codewords, |C_n| = 2 points, so planes of 4096 columns;
+    # the two point-product planes hold 2 rows, the seven prefix planes 8
+    cfg = SimConfig(nr=2, constellation=preset(3, 1), snr_grid_db=(12.0,),
+                    trials_per_point=1 << 20, seed=0, scheme="unprecoded_vblast")
+    engine = simulator._Engine(cfg)
+    engine.run_tile(0, cfg.sigma2(12.0), 0, simulator._TILE)
+    nbytes = [buf.nbytes for _, _, buf in engine.workspace.slots]
+    assert nbytes[7:16] == [2 * 4096 * 8] * 2 + [8 * 4096 * 8] * 7
+    assert sum(nbytes) == 3969024 - 2 * 6 * 4096 * 8  # 384 KB below nine 8-row planes
+
+
 def _run_tiles(engine, snr, first):
     """Run 8 consecutive tiles (32768 trials) of the engine's point 0 from trial `first`."""
     for lo in range(first, first + 8 * simulator._TILE, simulator._TILE):
@@ -416,6 +473,26 @@ def test_ks_reads_sorted_input_as_is():
         z[at] = bad
         with pytest.raises(ConfigurationError, match="1 of 1000"):
             ks_test_chisq(z, 4)
+
+
+@pytest.mark.parametrize("n", [100, 65536, 65537, 65538, (1 << 20) + 5])
+def test_ks_sorts_input_with_one_inversion(monkeypatch, n):
+    # the order is checked in chunks of adjacent pairs: an inversion in the
+    # last pair, and one on either side of the first chunk boundary, is found
+    # and sorted away (one swapped pair rarely moves the statistic, so the
+    # sort itself is counted)
+    values = np.sort(chisq_samples(6, n))
+    want = ks_test_chisq(values, 6)
+    assert want[0] == whole_array_statistic(values, 6)
+    sort, sorted_sizes = np.sort, []
+    monkeypatch.setattr(np, "sort", lambda a, *args, **kw: sorted_sizes.append(a.size) or sort(a, *args, **kw))
+    assert ks_test_chisq(values, 6) == want and sorted_sizes == []
+    chunk = simulator._ORDER_CHUNK
+    for pair in sorted({n - 2, min(chunk - 1, n - 2), min(chunk, n - 2)}):
+        z = values.copy()
+        z[[pair, pair + 1]] = z[[pair + 1, pair]]
+        sorted_sizes.clear()
+        assert ks_test_chisq(z, 6) == want and sorted_sizes == [n]
 
 
 def test_ks_validation():
