@@ -8,14 +8,22 @@ path is a nearest-point search for the matched-filter reduction
 s_mf = (h_eff^H y) / ||h_eff||^2 -- the same argmin as the exhaustive search
 through H F. Both break ties toward the smallest codeword index.
 
-The fast path looks the nearest sum up in a uniform bucket grid of cells of
-side c just under d_min / sqrt(2), which holds at most one sum per cell. A
-query is compared with the sums in the 3 x 3 cells around its own; the
-block's minimum is certified when it is below c, since every sum outside the
-block is at least c away. Uncertified, off-grid and non-finite queries, and
-whole tables of at most 25 sums or too sparse for a grid, take the
-exhaustive argmin over all sums, so every decision equals
-argmin |s_mf - sums|, ties included.
+The fast path depends on the table. When more than 25 sums are exactly an
+evenly spaced axis grid, as those of the 1- and 2-bit presets over 25 sums
+are (a square QAM), each coordinate of the query rounds to its nearest
+level, and a table maps the two levels to the sum's index. The decision is
+certified when, on both axes, the query lies farther from the nearest
+midpoint than rounding in |s_mf - s| could matter (Conway & Sloane, "Fast
+quantizing and decoding algorithms for lattice quantizers and codes", IEEE
+Trans. IT 28(2), 1982).
+Any other table is looked up in a uniform bucket grid of cells of side c
+just under d_min / sqrt(2), which holds at most one sum per cell. A query is
+compared with the sums in the 3 x 3 cells around its own; the block's
+minimum is certified when it is below c, since every sum outside the block
+is at least c away. Uncertified, off-grid and non-finite queries, and whole
+tables of at most 25 sums or too sparse for a grid, take the exhaustive
+argmin over all sums, so every decision equals argmin |s_mf - sums|, ties
+included.
 """
 
 import numpy as np
@@ -104,32 +112,45 @@ class ExhaustiveDecoder:
 
 class FastMLDecoder:
     """ML decoder over the (N,) codeword sums from `sum_constellation`, with
-    its bucket grid built once.
+    its search structure built once.
 
     Refuses colliding sums at construction: the decision would be ambiguous.
-    The minimum spacing d comes from the same exact bucket-grid closest-pair
-    search the constellation checker uses (`constellation._min_pairwise`).
-    The grid's cell side c is d / sqrt(2) less a relative 1e-9, so a cell
-    holds at most one sum; it is padded by 2 cells on every side,
-    and empty cells hold the sentinel index N, whose point lies at infinity.
-    A 3 x 3 block minimum below c (1 - 1e-9) is certified. No grid is built
-    for tables of at most `_ARGMIN_SUMS` sums, or when the grid would need
-    more than `_MAX_CELLS_PER_SUM` cells per sum; every query then takes the
-    exhaustive argmin.
+    A table of more than `_ARGMIN_SUMS` sums that is exactly an evenly spaced
+    axis grid, every pair of an x level and a y level once, keeps its sorted
+    levels and one (nx * ny) table from grid position to sum index; its
+    spacing d is the smallest gap between adjacent levels. Any other table
+    takes d from the exact bucket-grid closest-pair search the constellation
+    checker uses (`constellation._min_pairwise`) and, above `_ARGMIN_SUMS`
+    sums, a bucket grid of cell side c = d / sqrt(2) less a relative 1e-9, so
+    a cell holds at most one sum; it is padded by 2 cells on every side, and
+    empty cells hold the sentinel index N, whose point lies at infinity. A
+    3 x 3 block minimum below c (1 - 1e-9) is certified. No grid is built
+    when it would need more than `_MAX_CELLS_PER_SUM` cells per sum; every
+    query then takes the exhaustive argmin.
     """
 
     _ARGMIN_SUMS = 25         # tables this small decode faster by the exhaustive argmin
     _MAX_CELLS_PER_SUM = 16   # grid size cap, in cells per sum
+    _EVEN_REL = 1e-6          # largest level offset from even spacing, relative to the step
+    _SLICE_CHUNK = 1 << 13    # sums placed per pass when the position table is built
 
     def __init__(self, sums: np.ndarray):
-        d, _, _ = _min_pairwise(sums)
+        self.sums = sums
+        self._grid = self._axes = None
+        n = sums.size
+        axes = self._axis_grid(sums) if n > self._ARGMIN_SUMS else None
+        if axes is None:
+            d, _, _ = _min_pairwise(sums)
+        else:
+            *levels, table = axes
+            d = min(np.diff(lv).min() for lv in levels)
         if not d > DEFAULT_DISTINCT_TOL:
             raise ConfigurationError(
                 f"sum constellation is not injective (minimum spacing {d:g}); "
                 "decisions would be ambiguous")
-        self.sums = sums
-        self._grid = None
-        n = self.sums.size
+        if axes is not None:
+            self._table, self._axes = table, tuple(self._slicer(lv) for lv in levels)
+            return
         if n <= self._ARGMIN_SUMS:
             return
         c = d / np.sqrt(2.0) * (1.0 - 1e-9)
@@ -150,12 +171,60 @@ class FastMLDecoder:
         self._offsets = (dx * ny + dy).reshape(-1, 1)
         self._bound = c * (1.0 - 1e-9)
 
+    @classmethod
+    def _axis_grid(cls, sums: np.ndarray):
+        """(x levels, y levels, position table) when the sums are exactly an
+        evenly spaced axis grid holding every (x level, y level) pair once,
+        else None. The (nx, ny) table holds at [i, j] the index of the sum
+        x_i + 1j * y_j."""
+        levels = (cls._levels(sums.real), cls._levels(sums.imag))
+        nx, ny, n = levels[0].size, levels[1].size, sums.size
+        if nx * ny != n or min(nx, ny) < 2:
+            return None
+        for lv in levels:
+            step = (lv[-1] - lv[0]) / (lv.size - 1)
+            if not np.all(np.abs(lv - np.linspace(lv[0], lv[-1], lv.size)) <= cls._EVEN_REL * step):
+                return None
+        table = np.full((nx, ny), -1, np.intp)
+        for lo in range(0, n, cls._SLICE_CHUNK):
+            part = sums[lo:lo + cls._SLICE_CHUNK]
+            # exact: every coordinate is one of its axis's levels
+            pos = np.searchsorted(levels[0], part.real)
+            pos *= ny
+            pos += np.searchsorted(levels[1], part.imag)
+            np.put(table, pos, np.arange(lo, lo + part.size))
+        # nx * ny == n, so an unfilled position means two sums share one
+        return None if table.min() < 0 else (*levels, table)
+
+    @staticmethod
+    def _levels(part: np.ndarray) -> np.ndarray:
+        """The distinct values of `part`, ascending, by a sort and an adjacent compare."""
+        v = np.sort(part)
+        keep = np.empty(v.size, bool)
+        keep[0] = True
+        np.not_equal(v[1:], v[:-1], out=keep[1:])
+        return v[keep]
+
+    @staticmethod
+    def _slicer(lv: np.ndarray) -> tuple:
+        """One axis's slicing constants: its levels, the midpoints below and
+        above each level (-inf and inf past the outer ones), the first level,
+        1 / step, the last index, and the certificate's slacks eps * F and
+        16 eps / g, with F the largest |level| and g the smallest gap.
+
+        The midpoints are lv[i] / 2 + lv[i + 1] / 2, which cannot overflow."""
+        mids = lv[:-1] / 2 + lv[1:] / 2
+        eps = np.finfo(float).eps
+        return (lv, np.concatenate(([-np.inf], mids)), np.concatenate((mids, [np.inf])), lv[0],
+                (lv.size - 1) / (lv[-1] - lv[0]), lv.size - 1,
+                eps * max(-lv[0], lv[-1]), 16 * eps / np.diff(lv).min())
+
     def decode_batch(self, y: np.ndarray, h_eff: np.ndarray, alloc=np.empty) -> np.ndarray:
         """Vectorized decode of (B, nr) receptions against (B, nr) effective channels.
 
         Every array made here, the decisions included, comes from
-        alloc(shape, dtype); the grid gathers are (9, B), so the caller
-        bounds them by the batch it passes.
+        alloc(shape, dtype); the bucket grid's gathers are (9, B), so the
+        caller bounds them by the batch it passes.
         """
         b = y.shape[0]
         prod, mag2 = alloc(y.shape, complex), alloc(y.shape)
@@ -163,13 +232,59 @@ class FastMLDecoder:
         np.sum(np.multiply(np.conjugate(h_eff, out=prod), y, out=prod), axis=1, out=s_mf)
         np.sum(np.square(np.abs(h_eff, out=mag2), out=mag2), axis=1, out=energy)
         np.divide(s_mf, energy, out=s_mf)
-        if self._grid is None:
+        if self._axes is not None:
+            out = self._slice(s_mf, alloc)
+        elif self._grid is not None:
+            out = self._lookup(s_mf, alloc)
+        else:
             return self._argmin(s_mf, alloc)
-        out = self._lookup(s_mf, alloc)
         rest = np.less(out, 0, out=alloc((b,), bool))
         if rest.any():
             q = np.compress(rest, s_mf, out=alloc((np.count_nonzero(rest),), complex))
             out[rest] = self._argmin(q, alloc)
+        return out
+
+    def _slice(self, q: np.ndarray, alloc=np.empty) -> np.ndarray:
+        """Axis-grid decision for each query in q, or -1 where it is not certified.
+
+        Each coordinate rounds to its nearest level. A row is certified when,
+        on both axes, its distance m to the nearer midpoint around its level
+        (past an outer level, the inward one: g / 2 + t at distance t out)
+        exceeds eps F + 16 eps b^2 / g, where b is the row's distance to the
+        candidate sum. Every other sum's |q - s|^2 then exceeds the
+        candidate's by at least 2 g m > 30 eps b^2, so its distance a exceeds
+        b by more than 4 eps (a + b): more than the rounding of the float
+        |q - s|, within a relative 4 eps of each, can close. The candidate is
+        then argmin |q - sums|, with no tie. NaN and inf rows, and rows so far
+        out that b^2 outgrows m, fail the test.
+        """
+        n = q.size
+        cells = (alloc((n,), np.intp), alloc((n,), np.intp))
+        f, m, b2 = alloc((n,)), alloc((n,)), alloc((n,))
+        ok, test, out = alloc((n,), bool), alloc((n,), bool), alloc((n,), np.int64)
+        parts = (q.real, q.imag)
+        with np.errstate(over="ignore", invalid="ignore"):
+            b2.fill(0.0)
+            for part, cell, axis in zip(parts, cells, self._axes):
+                levels, _, _, first, inv_step, last, _, _ = axis
+                np.subtract(part, first, out=f)
+                f *= inv_step
+                np.clip(np.rint(f, out=f), 0, last, out=f)
+                np.copyto(cell, f, casting="unsafe")  # NaN casts to any index; it is refused below
+                np.subtract(part, np.take(levels, cell, out=f, mode="clip"), out=f)
+                b2 += np.square(f, out=f)
+            ok.fill(True)
+            for part, cell, axis in zip(parts, cells, self._axes):
+                _, below, above, _, _, _, slack, per_b2 = axis
+                np.subtract(part, np.take(below, cell, out=f, mode="clip"), out=m)
+                np.subtract(np.take(above, cell, out=f, mode="clip"), part, out=f)
+                np.minimum(m, f, out=m)
+                m -= slack
+                ok &= np.greater(m, np.multiply(b2, per_b2, out=f), out=test)
+        x, y = cells
+        np.multiply(x, self._table.shape[1], out=x)
+        np.take(self._table, np.add(x, y, out=x), out=out, mode="clip")
+        np.copyto(out, -1, where=np.logical_not(ok, out=test))
         return out
 
     def _lookup(self, q: np.ndarray, alloc=np.empty) -> np.ndarray:

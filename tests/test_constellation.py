@@ -342,6 +342,26 @@ def test_geometric_family_square_grid():
     assert report.min_sum_distance == pytest.approx(0.25, rel=1e-12)
 
 
+@pytest.mark.parametrize("nt, bits", [(4, 1), (8, 1), (16, 1), (3, 2), (4, 2), (8, 2), (3, 1)])
+def test_preset_sums_are_one_square_qam(nt, bits):
+    # the N = L * L sums of these presets are exactly the L x L grid with one
+    # step g on both axes, a square N-QAM sent on the beam, so
+    # d^2 / Es = 6 / (N - 1); the 3x1 preset's 8 sums are not a grid
+    sc = sum_constellation(preset(nt, bits))
+    xs, ys = np.unique(sc.real), np.unique(sc.imag)
+    side = int(np.sqrt(sc.size))
+    is_qam = side * side == sc.size and xs.size == ys.size == side
+    if is_qam:
+        g = xs[1] - xs[0]
+        is_qam = bool(np.all(np.diff(xs) == g) and np.all(np.diff(ys) == g))
+        grid = np.sort((xs[:, None] + 1j * ys[None, :]).ravel())
+        is_qam = is_qam and np.array_equal(np.sort(sc), grid)
+    assert is_qam == ((nt, bits) != (3, 1))
+    if is_qam:
+        d2_over_es = g ** 2 / average_energy(preset(nt, bits))
+        assert d2_over_es == pytest.approx(6 / (sc.size - 1), rel=1e-12)
+
+
 @pytest.mark.parametrize("nt", [2, 5, 8])
 def test_geometric_family_full_diversity_and_pitch(nt):
     cs = geometric_qam_family(nt, 4, 0.5)

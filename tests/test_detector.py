@@ -2,8 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdprecode.constellation import (
+    DEFAULT_DISTINCT_TOL,
     ConstellationSets,
     geometric_qam_family,
     preset,
@@ -256,13 +259,17 @@ def _hard_queries(sums, rng, sample):
 @pytest.mark.parametrize("nt, bits, sample",
                          [(16, 1, 512), (8, 2, 512), (8, 1, 256), (4, 2, 256), (3, 2, 64)])
 def test_grid_decoder_matches_argmin_on_presets(nt, bits, sample):
+    # the preset sums are an axis grid, which the slicer decodes; the same
+    # sums turned 45 degrees (times 1 + 1j, exact in binary) are not, so the
+    # bucket grid decodes them
     sc = sum_constellation(preset(nt, bits))
-    dec = FastMLDecoder(sc)
-    assert dec._grid is not None
-    # a sum point is its own unique nearest point (distance 0 in an injective table)
-    assert np.array_equal(_decode_queries(dec, sc), np.arange(sc.size))
-    q = _hard_queries(sc, np.random.default_rng([66, nt, bits]), sample)
-    assert np.array_equal(_decode_queries(dec, q), _argmin_oracle(q, sc))
+    for table, sliced in ((sc, True), (sc * (1 + 1j), False)):
+        dec = FastMLDecoder(table)
+        assert (dec._axes is not None) == sliced and (dec._grid is not None) != sliced
+        # a sum point is its own unique nearest point (distance 0 in an injective table)
+        assert np.array_equal(_decode_queries(dec, table), np.arange(table.size))
+        q = _hard_queries(table, np.random.default_rng([66, nt, bits]), sample)
+        assert np.array_equal(_decode_queries(dec, q), _argmin_oracle(q, table))
 
 
 def _off_lattice_sums(kind, rng):
@@ -295,19 +302,25 @@ def test_grid_decoder_matches_argmin_off_lattice(kind, gridded):
     assert np.array_equal(_decode_queries(dec, q), _argmin_oracle(q, sc))
 
 
-def _signed_8x1(sign):
-    # the mirrored table reverses the grid order of tied sums against their index order
+def _turned_8x1(sign):
+    # the 8x1 sets turned 45 degrees (times 1 + 1j, exact in binary): their
+    # sums are not an axis grid, so the bucket grid decodes them; the mirrored
+    # table reverses the grid order of tied sums against their index order
     cs = preset(8, 1)
-    return ConstellationSets(tuple(sign * c for c in cs.sets), cs.bits_per_symbol)
+    return ConstellationSets(tuple(sign * (1 + 1j) * c for c in cs.sets), cs.bits_per_symbol)
+
+
+# the turned 8x1 table's minimum spacing: 0.25 turned
+D_MIN_TURNED_8X1 = np.abs(0.25 * (1 + 1j))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_grid_tie_break_smallest_index(sign):
-    # y = 0 against the symmetric 256-sum 8x1 table: four sums share the
-    # minimal distance d_min / sqrt(2), which the grid cannot certify, so the
-    # exhaustive argmin decides; both decoders must return the smallest index
-    # among them.
-    cs = _signed_8x1(sign)
+    # y = 0 against the symmetric 256-sum turned 8x1 table: four sums share
+    # the minimal distance d_min / sqrt(2), which the grid cannot certify, so
+    # the exhaustive argmin decides; both decoders must return the smallest
+    # index among them.
+    cs = _turned_8x1(sign)
     sc = sum_constellation(cs)
     assert FastMLDecoder(sc)._grid is not None
     assert FastMLDecoder(sc)._lookup(np.zeros(1, dtype=complex))[0] == -1
@@ -318,23 +331,199 @@ def test_grid_tie_break_smallest_index(sign):
     metrics = np.abs(sc * he[0]) ** 2
     minimizers = np.nonzero(metrics == metrics.min())[0]
     assert minimizers.size > 1
-    assert np.abs(sc[minimizers[0]]) < 0.25  # closer than d_min
+    assert np.abs(sc[minimizers[0]]) < D_MIN_TURNED_8X1
     assert ml_decode(y[None], (h @ precoder(a))[None], codeword_matrix(cs))[0] == minimizers[0]
     assert FastMLDecoder(sc).decode_batch(y[None], he[None])[0] == minimizers[0]
 
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_grid_certifies_a_tie_at_a_midpoint(sign):
-    # the midpoint of two 8x1 sums d_min = 0.25 apart is exact in binary and
+    # the midpoint of two turned 8x1 sums d_min apart is exact in binary and
     # d_min / 2 from both, inside the grid's certified radius: the grid itself
     # must break the tie toward the smaller index
-    sc = sum_constellation(_signed_8x1(sign))
+    sc = sum_constellation(_turned_8x1(sign))
     dec = FastMLDecoder(sc)
     dist = np.abs(sc[:, None] - sc[None, :])
-    i, j = np.argwhere(np.triu(dist == 0.25))[len(sc)]  # a pair well inside the table
+    i, j = np.argwhere(np.triu(dist == D_MIN_TURNED_8X1))[len(sc)]  # a pair well inside the table
     q = np.array([(sc[i] + sc[j]) / 2])
     assert 2 * q[0] == sc[i] + sc[j]
     tied = np.nonzero(np.abs(q[0] - sc) == np.abs(q[0] - sc).min())[0]
     assert list(tied) == sorted([i, j])
     assert dec._lookup(q)[0] == min(i, j) >= 0
     assert _decode_queries(dec, q)[0] == min(i, j)
+
+
+# ------------------------------------------------------------ axis-grid slicer
+
+def _axis_table(xs, ys, order=None):
+    """The sums x + 1j * y over every pair of levels, x major, in `order`."""
+    table = np.empty((xs.size, ys.size), dtype=complex)
+    table.real, table.imag = xs[:, None], ys[None, :]
+    table = table.ravel()
+    return table if order is None else table[order]
+
+
+@pytest.mark.parametrize("nt", [8, 16])
+def test_slicer_at_every_midpoint_of_both_axes(nt):
+    # every midpoint between adjacent levels, on each axis, and one ulp to
+    # either side of it, crossed with levels and midpoints of the other axis
+    sc = sum_constellation(preset(nt, 1))
+    dec = FastMLDecoder(sc)
+    assert dec._axes is not None and dec._grid is None
+    rng = np.random.default_rng([70, nt, 0])
+    queries = []
+    for lv, other, turn in ((np.unique(sc.real), np.unique(sc.imag), 1),
+                            (np.unique(sc.imag), np.unique(sc.real), 1j)):
+        mids = lv[:-1] / 2 + lv[1:] / 2
+        assert np.all(2 * mids == lv[:-1] + lv[1:])  # exact in binary
+        on = rng.choice(other, 3, replace=False)
+        between = rng.choice(other[:-1] / 2 + other[1:] / 2, 2, replace=False)
+        # an exact midpoint is a tie, which the slicer leaves to the argmin;
+        # a hundredth of a step off it, on a level of the other axis, is certified
+        assert np.all(dec._slice(turn * (mids[:, None] + 1j * on[None, :]).ravel()) == -1)
+        off = (mids[:, None] + (lv[1] - lv[0]) / 100 + 1j * on[None, :]).ravel()
+        assert np.all(dec._slice(turn * off) >= 0)
+        cut = np.concatenate([mids, np.nextafter(mids, -np.inf), np.nextafter(mids, np.inf)])
+        queries.append(turn * (cut[:, None] + 1j * np.append(on, between)[None, :]).ravel())
+    q = np.concatenate(queries)
+    assert np.array_equal(_decode_queries(dec, q), _argmin_oracle(q, sc))
+
+
+@pytest.mark.parametrize("nt, bits", [(8, 1), (16, 1), (3, 2)])
+def test_slicer_outer_levels_far_field_and_non_finite(nt, bits):
+    sc = sum_constellation(preset(nt, bits))
+    dec = FastMLDecoder(sc)
+    assert dec._axes is not None
+    xs, ys = np.unique(sc.real), np.unique(sc.imag)
+    g = xs[1] - xs[0]
+    corners = np.array([complex(x, y) for x in (xs[0], xs[-1]) for y in (ys[0], ys[-1])])
+    # beyond the outer levels: from a quarter step to far past the hull,
+    # straight out and diagonally, on each side
+    reach = np.array([g / 4, g / 2, g, 10 * g, 1e3, 1e12])
+    out_x = np.concatenate([xs[-1] + reach, xs[0] - reach])
+    out_y = np.concatenate([ys[-1] + reach, ys[0] - reach])
+    beyond = np.concatenate([out_x + 1j * ys[3], xs[5] + 1j * out_y, out_x + 1j * out_y])
+    finite = np.concatenate([corners, beyond, [1e200 + 0j, 1e200j, -1e300 - 1e300j]])
+    assert np.array_equal(_decode_queries(dec, finite), _argmin_oracle(finite, sc))
+    # the outward margin g / 2 + t certifies rows well past an outer level
+    assert np.all(dec._slice(corners) >= 0)
+    assert np.all(dec._slice(beyond[np.abs(beyond) < 1e3]) >= 0)
+    # so far out that b^2 overflows: left to the argmin
+    assert np.all(dec._slice(finite[-3:]) == -1)
+    bad = np.array([np.nan, complex(np.nan, 0), complex(0, np.nan), np.inf, -np.inf,
+                    complex(0, np.inf), complex(np.inf, -np.inf), complex(np.nan, np.inf)])
+    assert np.all(dec._slice(bad) == -1)
+    ones = np.ones((bad.size, 1), dtype=complex)
+    with np.errstate(invalid="ignore"):
+        s_mf = np.conjugate(ones[:, 0]) * bad  # what decode_batch's matched filter sees
+        assert np.array_equal(dec.decode_batch(bad[:, None], ones), _argmin_oracle(s_mf, sc))
+
+
+STEPS = st.one_of(st.sampled_from([1e5, 1e-3, 0.1, 1 / 3, 0.015625, 3.0, 7e-6]),
+                  st.floats(1e-4, 1e4, allow_nan=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 12), STEPS, STEPS,
+       st.floats(-1e3, 1e3, allow_nan=False), st.floats(-1e3, 1e3, allow_nan=False),
+       st.integers(0, 2**31 - 1))
+def test_slicer_matches_argmin_on_random_axis_grids(nx, ny, gx, gy, x0, y0, seed):
+    # evenly spaced levels x0 + i gx and y0 + j gy in float, with steps that
+    # are not dyadic and may differ by 1e8, in a random index order
+    if nx * ny <= FastMLDecoder._ARGMIN_SUMS:
+        nx = 26 // ny + 1
+    rng = np.random.default_rng(seed)
+    xs, ys = x0 * gx + np.arange(nx) * gx, y0 * gy + np.arange(ny) * gy
+    sums = _axis_table(xs, ys, rng.permutation(nx * ny))
+    dec = FastMLDecoder(sums)
+    assert dec._axes is not None and dec._grid is None
+    mx, my = xs[:-1] / 2 + xs[1:] / 2, ys[:-1] / 2 + ys[1:] / 2
+    pick = rng.integers
+    q = np.concatenate([
+        sums,
+        # spread over the hull and a few steps past it
+        (xs[0] - 3 * gx + (xs[-1] - xs[0] + 6 * gx) * rng.random(400))
+        + 1j * (ys[0] - 3 * gy + (ys[-1] - ys[0] + 6 * gy) * rng.random(400)),
+        # midpoints and their neighbouring floats on each axis
+        mx[pick(mx.size, size=40)] + 1j * ys[pick(ny, size=40)],
+        np.nextafter(mx[pick(mx.size, size=40)], np.inf) + 1j * ys[pick(ny, size=40)],
+        np.nextafter(mx[pick(mx.size, size=40)], -np.inf) + 1j * my[pick(my.size, size=40)],
+        xs[pick(nx, size=40)] + 1j * np.nextafter(my[pick(my.size, size=40)], -np.inf),
+        # far out
+        sums[pick(sums.size, size=20)] * 1e3,
+    ])
+    got = _decode_queries(dec, q)
+    assert np.array_equal(got, _argmin_oracle(q, sums))
+    assert np.array_equal(got[:sums.size], np.arange(sums.size))
+
+
+@pytest.mark.parametrize("kind", ["uneven", "one_ulp", "c7", "rotated"])
+def test_tables_that_are_not_axis_grids_keep_their_decoder(kind):
+    rng = np.random.default_rng([71, 0, 0])
+    if kind == "uneven":
+        # 6 x 6 levels, the last x step 1.5 times the others
+        sums = _axis_table(np.array([0.0, 1, 2, 3, 4, 5.5]), np.arange(6.0), rng.permutation(36))
+    elif kind == "one_ulp":
+        sums = sum_constellation(preset(8, 1)).copy()
+        sums[77] = complex(np.nextafter(sums[77].real, np.inf), sums[77].imag)
+    elif kind == "c7":
+        # acceptance criterion 7's design: the 3x1 preset, 8 sums
+        sums = sum_constellation(preset(3, 1))
+    else:
+        q16 = qam_points(16)
+        sums = sum_constellation(ConstellationSets((q16, 0.25 * np.exp(1j * np.pi / 9) * q16), 4))
+    dec = FastMLDecoder(sums)
+    assert dec._axes is None
+    assert (dec._grid is None) == (kind == "c7")
+    lo, hi = sums.real.min() - 1, sums.real.max() + 1
+    q = np.concatenate([sums, lo + (hi - lo) * (rng.random(4000) + 1j * rng.random(4000)),
+                        _hard_queries(sums, rng, 64)])
+    assert np.array_equal(_decode_queries(dec, q), _argmin_oracle(q, sums))
+
+
+@pytest.mark.parametrize("kind", ["duplicate", "sub_tolerance", "at_tolerance"])
+def test_axis_grids_that_collide_are_refused(kind):
+    g = {"duplicate": 1.0, "sub_tolerance": DEFAULT_DISTINCT_TOL / 4,
+         "at_tolerance": DEFAULT_DISTINCT_TOL}[kind]
+    sums = _axis_table(np.arange(6) * g, np.arange(6) * g)
+    if kind == "duplicate":
+        sums[7] = sums[20]
+    else:
+        assert FastMLDecoder._axis_grid(sums) is not None  # an axis grid, refused for its step
+    with pytest.raises(ConfigurationError, match="not injective"):
+        FastMLDecoder(sums)
+
+
+def test_axis_grid_build_memory_is_bounded():
+    # no closest-pair scan, bucket grid or point table: the 16x1 build keeps
+    # one 65536-entry position table (0.5 MB); the bucket-grid build of the
+    # same sums peaks at about 6 MB
+    import tracemalloc
+    sc = sum_constellation(preset(16, 1))
+    tracemalloc.start()
+    try:
+        dec = FastMLDecoder(sc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec._axes is not None
+    assert peak < 1 << 20, f"{peak / 2**20:.2f} MB"
+
+
+def test_low_snr_tile_sends_no_row_to_the_argmin():
+    # at 10 dB the bucket grid left about 14% of 16x1 rows to the O(N)
+    # exhaustive argmin; the slicer certifies every finite row near the table
+    from fdprecode import simulator
+    cfg = simulator.SimConfig(nr=1, constellation=preset(16, 1), snr_grid_db=(10.0,),
+                              trials_per_point=simulator._TILE, seed=0)
+    engine = simulator._Engine(cfg)
+    argmin, sent = engine.decoder._argmin, []
+
+    def spy(q, alloc=np.empty):
+        sent.append(q.size)
+        return argmin(q, alloc)
+
+    engine.decoder._argmin = spy
+    errors = engine.run_tile(0, cfg.sigma2(10.0), 0, simulator._TILE)
+    assert sum(sent) == 0
+    assert 0 < errors < simulator._TILE
