@@ -18,12 +18,15 @@ authoritative for whatever convention is configured.
 The checker and the optimizer score a design by one exact closest-pair
 search over its sums (`_min_pairwise`): all pairs at once for up to 64
 points, and a bucket grid of about one point per cell above that, so a
-65536-sum check costs one linear pass on a lattice, a few on other sums,
-rather than a sort-and-widen scan over hundreds of offsets. Its minimum
-equals an exhaustive pair scan's bit for bit. The optimizer first scores
-leading subsets of a large stage's sums (64 for all of a scale's rotations
-at once, then 1024 per candidate); one spaced no wider than the incumbent
-settles the candidate, so the design is the one exhaustive scoring picks.
+65536-sum check costs one linear pass on a lattice, a few on other sums.
+Its minimum equals an exhaustive pair scan's bit for bit. The checker first
+asks `axis_grid`, which `FastMLDecoder` shares, whether the sums are exactly
+an evenly spaced axis grid, as those of the 1- and 2-bit presets over 25
+sums are: then the minimum is the smallest adjacent level gap, no scan. The
+optimizer first scores leading subsets of a large stage's sums (64 for all
+of a scale's rotations at once, then 1024 per candidate); one spaced no
+wider than the incumbent settles the candidate, so the design is the one
+exhaustive scoring picks.
 
 Memory: the sum table, the stage sums and every array a scan writes come
 from an `alloc(shape, dtype)` callable, the tile pipeline's one array
@@ -59,6 +62,9 @@ _ALL_PAIRS_MAX = 64
 _PAIR_CHUNK = 1 << 15
 # optimizer stages above this many sums score the leading ones first
 _SUBSET_SUMS = 1 << 10
+# the checker tries tables over _AXIS_SUMS sums as axis grids, whose levels
+# may lie up to _EVEN_REL steps off even spacing
+_AXIS_SUMS, _EVEN_REL = 25, 1e-6
 
 # 4-bit presets fail sum-injectivity under the odd-integer QAM convention
 UNVERIFIED_PRESETS = {(3, 4), (4, 4)}
@@ -71,7 +77,7 @@ _TIE_REL = 1e-9
 # call up to a 65536-sum scan's largest buffer, its complex sums
 _SCAN = Workspace()
 _SCAN_KEEP = (1 << 16) * np.dtype(complex).itemsize
-_RUN = np.arange(1 << 12)  # the block `_arange` writes from
+_RUN = np.arange(1 << 13)  # the block `_arange` writes from, and `axis_grid`'s chunk
 _RUN.setflags(write=False)
 
 
@@ -405,6 +411,61 @@ def _arange(out: np.ndarray, first: int = 0) -> np.ndarray:
     return out
 
 
+def axis_grid(sums: np.ndarray, alloc=np.empty):
+    """(x levels, y levels, (nx, ny) table of the index of each x_i + 1j y_j)
+    when the sums are exactly an evenly spaced axis grid holding every level
+    pair once, else None. O(N), no sort: the ny sums at the least real part
+    put the y levels at rint((y - y0) / step), which must fill the axis within
+    _EVEN_REL steps of even spacing, and the N / ny at the least y level the x
+    levels; then every sum, _RUN.size at a time, must equal the levels it maps
+    to and fill its own table position. The table and scratch come from alloc."""
+    n = sums.size
+    mask, table, axes, low = alloc((n,), bool), alloc((n,), np.intp), [], sums.real.min()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for part in (sums.real, sums.imag):
+            m = np.count_nonzero(np.equal(part, low, out=mask))
+            if m < 2 or n % m or axes and m * axes[0][0].size != n:
+                return None
+            edge = sums[mask]
+            edge = edge.real if axes else edge.imag
+            low, step = edge.min(), (edge.max() - edge.min()) / (m - 1)
+            lv = np.full(m, np.nan)  # a level no edge value lands on fails the spacing test
+            np.put(lv, np.rint((edge - low) * (1 / step)).astype(np.intp), edge, mode="clip")
+            if not np.all(np.abs(lv - np.linspace(lv[0], lv[-1], m)) <= _EVEN_REL * step):
+                return None
+            axes.insert(0, (lv, low, 1 / step))
+        chunk, ny = min(n, _RUN.size), axes[1][0].size
+        f, ok, ix, iy = (alloc((chunk,), t) for t in (float, bool, np.intp, np.intp))
+        table.fill(-1)
+        for lo in range(0, n, chunk):
+            part, w = sums[lo:lo + chunk], min(chunk, n - lo)
+            for v, (lv, first, scale), at in zip((part.real, part.imag), axes, (ix, iy)):
+                np.rint(np.multiply(np.subtract(v, first, out=f[:w]), scale, out=f[:w]), out=f[:w])
+                np.copyto(at[:w], f[:w], casting="unsafe")
+                if not np.equal(np.take(lv, at[:w], out=f[:w], mode="clip"), v, out=ok[:w]).all():
+                    return None
+            np.add(np.multiply(ix[:w], ny, out=ix[:w]), iy[:w], out=ix[:w])
+            table[ix[:w]] = np.add(_RUN[:w], lo, out=iy[:w])
+    # N positions and N sums: an unfilled position means two sums share one
+    return None if table.min() < 0 else (axes[0][0], axes[1][0], table.reshape(-1, ny))
+
+
+def _axis_closest(xs: np.ndarray, ys: np.ndarray, table: np.ndarray, alloc=np.empty):
+    """`_min_pairwise`'s minimum over an `axis_grid`, under ==: the least adjacent
+    level gap d, as a row pair differs by complex(gap, 0) (a column pair alike)
+    and any other pair by about 2 or sqrt(2) gaps; with the smallest index pair
+    (i, j), i < j, at d: i the least index at a d gap's end, j its least such neighbour."""
+    d = min(np.diff(xs).min(), np.diff(ys).min())
+    tx, ty = np.diff(xs) == d, np.diff(ys) == d
+    rows, cols = (np.append(t, False) | np.insert(t, 0, False) for t in (tx, ty))  # at a d gap
+    ends = np.logical_or(rows[:, None], cols, out=alloc(table.shape, bool))
+    i = int(np.min(table, where=ends, initial=table.size))
+    p, q = divmod(int(np.argmax(np.equal(table, i, out=ends))), ys.size)
+    near = [table[p + s, q] for s in (-1, 1) if 0 <= p + s < xs.size and tx[p + min(s, 0)]]
+    near += [table[p, q + s] for s in (-1, 1) if 0 <= q + s < ys.size and ty[q + min(s, 0)]]
+    return float(d), i, int(min(near))
+
+
 def _keeps_scan_bounded(fn):
     """fn, after which the thread's workspace drops every unheld buffer over
     _SCAN_KEEP bytes, so a scan of more than 65536 sums does not pin its memory."""
@@ -425,10 +486,15 @@ def check_full_diversity(cs: ConstellationSets) -> DiversityReport:
 
     min_sum_distance is the minimum over distinct codeword pairs of
     |sum_i dx_i| (the coding-gain metric, 0 when two codewords collide);
-    the witness is a pair of per-antenna index tuples attaining it.
+    the witness is a pair of per-antenna index tuples attaining it, on an
+    `axis_grid` of over 25 sums the smallest index pair at its least level gap.
     """
     with _SCAN.frame() as alloc:
-        d, i, j = _min_pairwise(sum_constellation(cs, alloc), alloc)
+        sums = sum_constellation(cs, alloc)
+        with _SCAN.frame() as grid_alloc:  # released before a scan, which takes its usual slots
+            axes = axis_grid(sums, grid_alloc) if sums.size > _AXIS_SUMS else None
+            found = axes and _axis_closest(*axes, grid_alloc)
+        d, i, j = found or _min_pairwise(sums, alloc)
     n = cs.codebook_size
     witness = None
     if i >= 0:

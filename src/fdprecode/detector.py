@@ -28,7 +28,7 @@ included.
 
 import numpy as np
 
-from .constellation import DEFAULT_DISTINCT_TOL, ConstellationSets, _min_pairwise
+from .constellation import DEFAULT_DISTINCT_TOL, ConstellationSets, axis_grid, _min_pairwise
 from .errors import ConfigurationError, EnumerationBudgetError
 
 BRUTEFORCE_BUDGET = 1 << 16
@@ -114,31 +114,29 @@ class FastMLDecoder:
     """ML decoder over the (N,) codeword sums from `sum_constellation`, with
     its search structure built once.
 
-    Refuses colliding sums at construction: the decision would be ambiguous.
-    A table of more than `_ARGMIN_SUMS` sums that is exactly an evenly spaced
-    axis grid, every pair of an x level and a y level once, keeps its sorted
-    levels and one (nx * ny) table from grid position to sum index; its
-    spacing d is the smallest gap between adjacent levels. Any other table
-    takes d from the exact bucket-grid closest-pair search the constellation
-    checker uses (`constellation._min_pairwise`) and, above `_ARGMIN_SUMS`
-    sums, a bucket grid of cell side c = d / sqrt(2) less a relative 1e-9, so
-    a cell holds at most one sum; it is padded by 2 cells on every side, and
-    empty cells hold the sentinel index N, whose point lies at infinity. A
-    3 x 3 block minimum below c (1 - 1e-9) is certified. No grid is built
-    when it would need more than `_MAX_CELLS_PER_SUM` cells per sum; every
-    query then takes the exhaustive argmin.
+    Refuses colliding sums at construction: the decision would be ambiguous. A
+    table of more than `_ARGMIN_SUMS` sums that `constellation.axis_grid`
+    finds to be exactly an evenly spaced axis grid keeps its levels and one
+    (nx, ny) table from grid position to sum index; its spacing d is the
+    smallest gap between adjacent levels. Any other table takes d from the
+    exact bucket-grid closest-pair search the constellation checker uses
+    (`constellation._min_pairwise`) and, above `_ARGMIN_SUMS` sums, a bucket
+    grid of cell side c = d / sqrt(2) less a relative 1e-9, so a cell holds at
+    most one sum; it is padded by 2 cells on every side, and empty cells hold
+    the sentinel index N, whose point lies at infinity. A 3 x 3 block minimum
+    below c (1 - 1e-9) is certified. No grid is built when it would need more
+    than `_MAX_CELLS_PER_SUM` cells per sum; every query then takes the
+    exhaustive argmin.
     """
 
     _ARGMIN_SUMS = 25         # tables this small decode faster by the exhaustive argmin
     _MAX_CELLS_PER_SUM = 16   # grid size cap, in cells per sum
-    _EVEN_REL = 1e-6          # largest level offset from even spacing, relative to the step
-    _SLICE_CHUNK = 1 << 13    # sums placed per pass when the position table is built
 
     def __init__(self, sums: np.ndarray):
         self.sums = sums
         self._grid = self._axes = None
         n = sums.size
-        axes = self._axis_grid(sums) if n > self._ARGMIN_SUMS else None
+        axes = axis_grid(sums) if n > self._ARGMIN_SUMS else None
         if axes is None:
             d, _, _ = _min_pairwise(sums)
         else:
@@ -170,40 +168,6 @@ class FastMLDecoder:
         dx, dy = np.meshgrid(np.arange(-1, 2), np.arange(-1, 2), indexing="ij")
         self._offsets = (dx * ny + dy).reshape(-1, 1)
         self._bound = c * (1.0 - 1e-9)
-
-    @classmethod
-    def _axis_grid(cls, sums: np.ndarray):
-        """(x levels, y levels, position table) when the sums are exactly an
-        evenly spaced axis grid holding every (x level, y level) pair once,
-        else None. The (nx, ny) table holds at [i, j] the index of the sum
-        x_i + 1j * y_j."""
-        levels = (cls._levels(sums.real), cls._levels(sums.imag))
-        nx, ny, n = levels[0].size, levels[1].size, sums.size
-        if nx * ny != n or min(nx, ny) < 2:
-            return None
-        for lv in levels:
-            step = (lv[-1] - lv[0]) / (lv.size - 1)
-            if not np.all(np.abs(lv - np.linspace(lv[0], lv[-1], lv.size)) <= cls._EVEN_REL * step):
-                return None
-        table = np.full((nx, ny), -1, np.intp)
-        for lo in range(0, n, cls._SLICE_CHUNK):
-            part = sums[lo:lo + cls._SLICE_CHUNK]
-            # exact: every coordinate is one of its axis's levels
-            pos = np.searchsorted(levels[0], part.real)
-            pos *= ny
-            pos += np.searchsorted(levels[1], part.imag)
-            np.put(table, pos, np.arange(lo, lo + part.size))
-        # nx * ny == n, so an unfilled position means two sums share one
-        return None if table.min() < 0 else (*levels, table)
-
-    @staticmethod
-    def _levels(part: np.ndarray) -> np.ndarray:
-        """The distinct values of `part`, ascending, by a sort and an adjacent compare."""
-        v = np.sort(part)
-        keep = np.empty(v.size, bool)
-        keep[0] = True
-        np.not_equal(v[1:], v[:-1], out=keep[1:])
-        return v[keep]
 
     @staticmethod
     def _slicer(lv: np.ndarray) -> tuple:

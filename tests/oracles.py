@@ -43,3 +43,33 @@ def ml_decode(y, transfer, codewords):
     """Per row b, the first k minimizing ||y_b - transfer_b x_k|| by np.linalg.norm."""
     cand = np.einsum("bon,kn->bko", transfer, codewords)
     return np.argmin(np.linalg.norm(y[:, None, :] - cand, axis=2), axis=1)
+
+
+def axis_table(xs, ys, order=None):
+    """The sums x + 1j * y over every pair of levels, x major, in `order`."""
+    table = np.empty((xs.size, ys.size), dtype=complex)
+    table.real, table.imag = xs[:, None], ys[None, :]
+    table = table.ravel()
+    return table if order is None else table[order]
+
+
+def sorted_axis_grid(sums, even_rel=1e-6):
+    """The sort-based axis-grid recognizer: (x levels, y levels, (nx, ny)
+    position table) when the distinct real and imaginary parts, found by
+    sorting and comparing neighbours, number nx and ny >= 2 with
+    nx * ny == N, lie within `even_rel` steps of even spacing, and every
+    (x, y) pair occurs once; else None."""
+    levels = []
+    for part in (sums.real, sums.imag):
+        v = np.sort(part)
+        levels.append(v[np.concatenate(([True], v[1:] != v[:-1]))])
+    nx, ny = levels[0].size, levels[1].size
+    if nx * ny != sums.size or min(nx, ny) < 2:
+        return None
+    for lv in levels:
+        step = (lv[-1] - lv[0]) / (lv.size - 1)
+        if not np.all(np.abs(lv - np.linspace(lv[0], lv[-1], lv.size)) <= even_rel * step):
+            return None
+    table = np.full((nx, ny), -1, np.intp)
+    table[np.searchsorted(levels[0], sums.real), np.searchsorted(levels[1], sums.imag)] = np.arange(sums.size)
+    return None if table.min() < 0 else (*levels, table)

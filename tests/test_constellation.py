@@ -1,4 +1,5 @@
 import itertools
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from fdprecode import constellation
 from fdprecode.constellation import (
     _ALL_PAIRS_MAX,
+    DEFAULT_DISTINCT_TOL,
     UNVERIFIED_PRESETS,
     ConstellationSets,
     GridSpec,
@@ -25,6 +27,8 @@ from fdprecode.constellation import (
 )
 from fdprecode.errors import ConfigurationError, EnumerationBudgetError, InfeasibleDesignError
 from fdprecode.workspace import Workspace
+
+from oracles import axis_table, sorted_axis_grid
 
 
 def brute_min_pairwise(points):
@@ -324,6 +328,219 @@ POINT_LISTS = st.one_of(
 @given(POINT_LISTS)
 def test_closest_pair_matches_all_pairs(points):
     assert_closest_pair_exact(np.array(points, dtype=complex))
+
+
+# --------------------------------------------------------------- axis grids
+
+AXIS_GRID_PRESETS = [(4, 1), (8, 1), (16, 1), (3, 2), (4, 2), (8, 2)]
+
+
+def _recording_axis_grid(monkeypatch):
+    """The list of every `axis_grid` result the checker gets from here on."""
+    found, recognize = [], constellation.axis_grid
+    monkeypatch.setattr(constellation, "axis_grid",
+                        lambda sums, alloc=np.empty: found.append(recognize(sums, alloc)) or found[-1])
+    return found
+
+
+def _check_table(sums):
+    """check_full_diversity on the given table of 2**k sums, through a 1-bit
+    codebook of that size: (report, witness indices, whether the axis path
+    answered, grid passes)."""
+    cs = ConstellationSets((np.array([-1.0, 1.0]),) * (sums.size.bit_length() - 1), 1)
+
+    def given_sums(_, alloc=np.empty):
+        out = alloc(sums.shape, complex)
+        out[...] = sums
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(constellation, "sum_constellation", given_sums)
+        found, passes = _recording_axis_grid(mp), _counting_grid_passes(mp)
+        report = check_full_diversity(cs)
+    witness = [int(np.ravel_multi_index(w, (2,) * cs.nt)) for w in report.witness]
+    return report, witness, any(f is not None for f in found), len(passes)
+
+
+def _first_closest_pair(sums):
+    """The least distance over all pairs, by numpy's complex abs, and the
+    lexicographically smallest pair (i, j), i < j, at it."""
+    dist = np.abs(sums[:, None] - sums[None, :])
+    dist[np.tril_indices(sums.size)] = np.inf
+    d = dist.min()
+    i, j = np.argwhere(dist == d)[0]
+    return d, int(i), int(j)
+
+
+def assert_axis_check_exact(sums):
+    # the checker answers an axis grid without a grid pass, with the least
+    # distance of every pair under == and the smallest pair at it
+    report, (i, j), axis, passes = _check_table(sums)
+    d = _min_pairwise(sums)[0]
+    assert axis and passes == 0
+    assert report.min_sum_distance == d == brute_min_pairwise(sums)
+    assert report.passes == (d > DEFAULT_DISTINCT_TOL)
+    assert (d, i, j) == _first_closest_pair(sums)
+
+
+@pytest.mark.parametrize("nt, bits", AXIS_GRID_PRESETS)
+def test_axis_grid_presets_check_as_the_scan_does(monkeypatch, nt, bits):
+    cs = preset(nt, bits)
+    sums = sum_constellation(cs)
+    found, passes = _recording_axis_grid(monkeypatch), _counting_grid_passes(monkeypatch)
+    report = check_full_diversity(cs)
+    assert passes == []
+    assert (found != [] and found[0] is not None) == (sums.size > constellation._AXIS_SUMS)
+    d, i, j = _min_pairwise(sums)
+    assert report.min_sum_distance == d
+    assert report.passes == (d > DEFAULT_DISTINCT_TOL)
+    # the whole report, witness included, is the scan's
+    monkeypatch.setattr(constellation, "axis_grid", lambda points, alloc=np.empty: None)
+    assert check_full_diversity(cs) == report
+    index = [int(np.ravel_multi_index(w, (1 << bits,) * nt)) for w in report.witness]
+    assert index == [i, j] == [0, 1]
+    assert np.abs(sums[i] - sums[j]) == d
+
+
+LEVEL_STEPS = st.one_of(st.sampled_from([1e5, 1e-3, 0.1, 1 / 3, 0.015625, 3.0, 7e-6]),
+                        st.floats(1e-4, 1e4, allow_nan=False))
+
+
+def _levels(count, step, origin, wobble, rng):
+    """count levels origin + k step, the inner ones moved by up to `wobble` steps."""
+    lv = origin + np.arange(count) * step
+    lv[1:-1] += wobble * step * rng.uniform(-1, 1, count - 2)
+    return lv
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), LEVEL_STEPS, LEVEL_STEPS,
+       st.floats(-1e3, 1e3, allow_nan=False), st.floats(-1e3, 1e3, allow_nan=False),
+       st.sampled_from([0.0, 0.4e-6, 0.9e-6]), st.integers(0, 2**31 - 1))
+def test_checker_matches_the_scan_on_random_axis_grids(a, b, gx, gy, x0, y0, wobble, seed):
+    # 2**a x 2**b levels, over 25 sums, in a random order; steps may differ
+    # by 1e9, and inner levels may sit up to 0.9 of _EVEN_REL off even spacing
+    if a + b < 5:
+        a = 5 - b
+    rng = np.random.default_rng(seed)
+    xs, ys = _levels(1 << a, gx, x0 * gx, wobble, rng), _levels(1 << b, gy, y0 * gy, wobble, rng)
+    assert_axis_check_exact(axis_table(xs, ys, rng.permutation(xs.size * ys.size)))
+
+
+@pytest.mark.parametrize("g", [DEFAULT_DISTINCT_TOL / 4, DEFAULT_DISTINCT_TOL, 2 * DEFAULT_DISTINCT_TOL],
+                         ids=["sub_tolerance", "at_tolerance", "above_tolerance"])
+def test_checker_verdict_at_the_tolerance_step(g):
+    sums = axis_table(np.arange(8) * g, np.arange(4) * g)
+    assert_axis_check_exact(sums)
+    assert _check_table(sums)[0].passes == (g > DEFAULT_DISTINCT_TOL)
+
+
+def _not_axis_grid(kind):
+    rng = np.random.default_rng([72, 0, 0])
+    if kind == "one_ulp":
+        sums = sum_constellation(preset(8, 1)).copy()
+        sums[77] = complex(np.nextafter(sums[77].real, np.inf), sums[77].imag)
+        return sums
+    if kind == "uneven":
+        # 16 x 16 levels, one inner level 2 _EVEN_REL steps off
+        xs = np.arange(16.0)
+        xs[7] += 2e-6
+        return axis_table(xs, np.arange(16.0), rng.permutation(256))
+    if kind == "rotated":
+        q16 = qam_points(16)
+        return sum_constellation(ConstellationSets((q16, 0.25 * np.exp(1j * np.pi / 9) * q16), 4))
+    return sum_constellation(preset(*{"3x4": (3, 4), "4x4": (4, 4)}[kind]))
+
+
+@pytest.mark.parametrize("kind", ["one_ulp", "uneven", "rotated", "3x4", "4x4"])
+def test_tables_that_are_not_axis_grids_are_scanned(kind):
+    sums = _not_axis_grid(kind)
+    assert constellation.axis_grid(sums) is None
+    report, (i, j), axis, passes = _check_table(sums)
+    assert not axis and passes >= 1
+    assert (report.min_sum_distance, i, j) == _min_pairwise(sums)
+
+
+# tables around the axis grids: grids, some with inner levels up to about
+# _EVEN_REL steps off even spacing, a sum repeated, moved an ulp or onto
+# another x level, sheared columns, and a y level's row dropped
+TABLE_VARIANTS = st.tuples(
+    st.integers(1, 8), st.integers(1, 8), LEVEL_STEPS, LEVEL_STEPS,
+    st.floats(-1e3, 1e3, allow_nan=False), st.floats(-1e3, 1e3, allow_nan=False),
+    st.sampled_from([0.0, 0.5e-6, 0.99e-6, 1e-6, 1.01e-6, 2e-6, 0.3]),
+    st.sampled_from(["grid", "repeat", "ulp", "other_level", "shear", "drop_row"]),
+    st.integers(0, 2**31 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(TABLE_VARIANTS)
+def test_axis_grid_accepts_what_the_sorting_recognizer_accepts(params):
+    nx, ny, gx, gy, x0, y0, wobble, kind, seed = params
+    rng = np.random.default_rng(seed)
+    xs, ys = _levels(nx + 1, gx, x0 * gx, wobble, rng), _levels(ny + 1, gy, y0 * gy, wobble, rng)
+    sums = axis_table(xs, ys, rng.permutation(xs.size * ys.size))
+    k = rng.integers(sums.size)
+    if kind == "repeat":
+        sums[k] = sums[(k + 1) % sums.size]
+    elif kind == "ulp":
+        sums[k] = complex(sums[k].real, np.nextafter(sums[k].imag, np.inf))
+    elif kind == "other_level":
+        sums[k] = complex(xs[rng.integers(xs.size)], sums[k].imag)
+    elif kind == "shear":
+        sums += 1e-3j * gy * (sums.real - xs[0]) / gx  # column k moved k / 1000 steps along y
+    elif kind == "drop_row":
+        sums = sums[sums.imag != ys[-1]]  # the grid one y level smaller
+    expected, got = sorted_axis_grid(sums), constellation.axis_grid(sums)
+    assert (got is None) == (expected is None)
+    if got is not None:
+        for a, e in zip(got, expected):
+            assert np.array_equal(a, e)
+
+
+def test_axis_grid_refuses_non_finite_sums():
+    sums = axis_table(np.arange(8.0), np.arange(8.0))
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(-np.inf, 0)):
+        broken = sums.copy()
+        broken[9] = bad
+        assert constellation.axis_grid(broken) is None
+    assert constellation.axis_grid(axis_table(np.array([-1e308, 1e308]), np.arange(16.0))) is None
+
+
+def _scan_bytes_after(run):
+    """Bytes the design scans' workspace holds after run() in a fresh thread."""
+    held = []
+
+    def body():
+        run()
+        held.append(sum(buf.nbytes for _, _, buf in constellation._SCAN.slots))
+
+    thread = threading.Thread(target=body)
+    thread.start()
+    thread.join()
+    return held[0]
+
+
+def test_axis_checks_keep_no_more_scan_memory_than_the_scan_alone(monkeypatch):
+    # the recognizer's arrays sit in a frame released before any scan, in
+    # slots no larger than the scan's own
+    design = optimize_rotations_scalings(ConstellationSets((qam_points(16),) * 4, 4),
+                                         GridSpec(0.05, np.pi / 18), 10.7).sets
+
+    def sequence():
+        for cs in (preset(16, 1), preset(4, 4), design):
+            check_full_diversity(cs)
+
+    with_axis = _scan_bytes_after(sequence)
+    monkeypatch.setattr(constellation, "axis_grid", lambda sums, alloc=np.empty: None)
+    assert with_axis <= _scan_bytes_after(sequence)
+
+
+def test_a_large_axis_grid_check_leaves_no_large_buffer_in_the_thread(monkeypatch):
+    found = _recording_axis_grid(monkeypatch)
+    report = check_full_diversity(geometric_qam_family(5, 16, 0.25))
+    assert found[0] is not None and found[0][2].size == 1 << 20
+    assert report.passes and report.min_sum_distance == 2 * 0.25 ** 4
+    assert sum(buf.nbytes for _, _, buf in constellation._SCAN.slots) <= 8 << 20
 
 
 # ----------------------------------------------------------------- geometric

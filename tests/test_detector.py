@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fdprecode.constellation import (
     DEFAULT_DISTINCT_TOL,
     ConstellationSets,
+    axis_grid,
     geometric_qam_family,
     preset,
     qam_points,
@@ -18,7 +19,7 @@ from fdprecode.errors import ConfigurationError, EnumerationBudgetError
 from fdprecode.precoder import feedback_angles_batch
 
 from draws import channels
-from oracles import ml_decode, precoder
+from oracles import axis_table, ml_decode, precoder
 
 
 def links(seed, count, nr, nt):
@@ -355,14 +356,6 @@ def test_grid_certifies_a_tie_at_a_midpoint(sign):
 
 # ------------------------------------------------------------ axis-grid slicer
 
-def _axis_table(xs, ys, order=None):
-    """The sums x + 1j * y over every pair of levels, x major, in `order`."""
-    table = np.empty((xs.size, ys.size), dtype=complex)
-    table.real, table.imag = xs[:, None], ys[None, :]
-    table = table.ravel()
-    return table if order is None else table[order]
-
-
 @pytest.mark.parametrize("nt", [8, 16])
 def test_slicer_at_every_midpoint_of_both_axes(nt):
     # every midpoint between adjacent levels, on each axis, and one ulp to
@@ -434,7 +427,7 @@ def test_slicer_matches_argmin_on_random_axis_grids(nx, ny, gx, gy, x0, y0, seed
         nx = 26 // ny + 1
     rng = np.random.default_rng(seed)
     xs, ys = x0 * gx + np.arange(nx) * gx, y0 * gy + np.arange(ny) * gy
-    sums = _axis_table(xs, ys, rng.permutation(nx * ny))
+    sums = axis_table(xs, ys, rng.permutation(nx * ny))
     dec = FastMLDecoder(sums)
     assert dec._axes is not None and dec._grid is None
     mx, my = xs[:-1] / 2 + xs[1:] / 2, ys[:-1] / 2 + ys[1:] / 2
@@ -462,7 +455,7 @@ def test_tables_that_are_not_axis_grids_keep_their_decoder(kind):
     rng = np.random.default_rng([71, 0, 0])
     if kind == "uneven":
         # 6 x 6 levels, the last x step 1.5 times the others
-        sums = _axis_table(np.array([0.0, 1, 2, 3, 4, 5.5]), np.arange(6.0), rng.permutation(36))
+        sums = axis_table(np.array([0.0, 1, 2, 3, 4, 5.5]), np.arange(6.0), rng.permutation(36))
     elif kind == "one_ulp":
         sums = sum_constellation(preset(8, 1)).copy()
         sums[77] = complex(np.nextafter(sums[77].real, np.inf), sums[77].imag)
@@ -485,11 +478,11 @@ def test_tables_that_are_not_axis_grids_keep_their_decoder(kind):
 def test_axis_grids_that_collide_are_refused(kind):
     g = {"duplicate": 1.0, "sub_tolerance": DEFAULT_DISTINCT_TOL / 4,
          "at_tolerance": DEFAULT_DISTINCT_TOL}[kind]
-    sums = _axis_table(np.arange(6) * g, np.arange(6) * g)
+    sums = axis_table(np.arange(6) * g, np.arange(6) * g)
     if kind == "duplicate":
         sums[7] = sums[20]
     else:
-        assert FastMLDecoder._axis_grid(sums) is not None  # an axis grid, refused for its step
+        assert axis_grid(sums) is not None  # an axis grid, refused for its step
     with pytest.raises(ConfigurationError, match="not injective"):
         FastMLDecoder(sums)
 
