@@ -4,7 +4,9 @@ A channel matrix is a complex ndarray of shape (nr, nt): row = receive
 antenna, column = transmit antenna, entries i.i.d. CN(0, 1) with total unit
 variance split equally between real and imaginary parts, so that the
 expected squared Frobenius norm is nt * nr. `rayleigh` sizes its channel
-batch itself and takes it from the caller's `alloc(shape, dtype)`.
+batch itself and takes it from the caller's `alloc(shape, dtype)`;
+`antenna_gains` builds one transmit antenna's column of that batch, the
+way the precoder walks the antennas without forming the batch.
 """
 
 import numpy as np
@@ -18,8 +20,18 @@ def rayleigh(normals: np.ndarray, nr: int, nt: int, alloc=np.empty) -> np.ndarra
     In each row the first nr * nt normals are the real parts and the rest the
     imaginary parts, both in row-major (receive, transmit) order. The result
     is a view of `alloc((nt, B, nr), complex)`, so that each transmit
-    antenna's column block is contiguous, as the precoder reads it.
+    antenna's column block is contiguous.
     """
+    re, im = gain_parts(normals, nr, nt)
+    out = alloc((nt, normals.shape[0], nr), complex)
+    for n in range(nt):  # one (B, nr) block per antenna is faster than one 3-D pass
+        antenna_gains(re, im, n, out[n])
+    return out.transpose(1, 2, 0)
+
+
+def gain_parts(normals: np.ndarray, nr: int, nt: int) -> tuple[np.ndarray, np.ndarray]:
+    """The real and imaginary parts within (B, 2 * nr * nt) normals, as the
+    (B, nr, nt) views `rayleigh` reads them from."""
     if nt < 1 or nr < 1:
         raise ConfigurationError(f"antenna counts must be >= 1, got nt={nt}, nr={nr}")
     k = nr * nt
@@ -27,12 +39,13 @@ def rayleigh(normals: np.ndarray, nr: int, nt: int, alloc=np.empty) -> np.ndarra
         raise ConfigurationError(f"need (B, {2 * k}) normals for {nr}x{nt} channels, "
                                  f"got shape {normals.shape}")
     b = normals.shape[0]
-    out = alloc((nt, b, nr), complex)
-    re, im = (p.reshape(b, nr, nt) for p in (normals[:, :k], normals[:, k:]))
-    for n in range(nt):  # one (B, nr) block per antenna is faster than one 3-D pass
-        # numpy divides a complex by a real as a product with the reciprocal: z / sqrt(2), bit for bit
-        scaled_complex(re[:, :, n], im[:, :, n], 1.0 / np.sqrt(2.0), out[n])
-    return out.transpose(1, 2, 0)
+    return normals[:, :k].reshape(b, nr, nt), normals[:, k:].reshape(b, nr, nt)
+
+
+def antenna_gains(re: np.ndarray, im: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """Transmit antenna n's (B, nr) column of the channels whose `gain_parts` are re, im, into `out`."""
+    # numpy divides a complex by a real as a product with the reciprocal: z / sqrt(2), bit for bit
+    return scaled_complex(re[:, :, n], im[:, :, n], 1.0 / np.sqrt(2.0), out)
 
 
 def scaled_complex(re: np.ndarray, im: np.ndarray, scale: float, out: np.ndarray) -> np.ndarray:

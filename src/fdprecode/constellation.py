@@ -19,14 +19,14 @@ The checker and the optimizer score a design by one exact closest-pair
 search over its sums (`_min_pairwise`): all pairs at once for up to 64
 points, and a bucket grid of about one point per cell above that, so a
 65536-sum check costs one linear pass on a lattice, a few on other sums.
-Its minimum equals an exhaustive pair scan's bit for bit. The checker first
-asks `axis_grid`, which `FastMLDecoder` shares, whether the sums are exactly
-an evenly spaced axis grid, as those of the 1- and 2-bit presets over 25
-sums are: then the minimum is the smallest adjacent level gap, no scan. The
-optimizer first scores leading subsets of a large stage's sums (64 for all
-of a scale's rotations at once, then 1024 per candidate); one spaced no
-wider than the incumbent settles the candidate, so the design is the one
-exhaustive scoring picks.
+Its minimum equals an exhaustive pair scan's bit for bit. Above 64 sums the
+checker first asks `axis_grid`, which `FastMLDecoder` shares, whether the
+sums are exactly an evenly spaced axis grid, as those of the 1- and 2-bit
+presets over 64 sums are: then the minimum is the smallest adjacent level
+gap, no scan. The optimizer first scores leading subsets of a large stage's
+sums (64 for all of a scale's rotations at once, then 1024 per candidate);
+one spaced no wider than the incumbent settles the candidate, so the design
+is the one exhaustive scoring picks.
 
 Memory: the sum table, the stage sums and every array a scan writes come
 from an `alloc(shape, dtype)` callable, the tile pipeline's one array
@@ -62,9 +62,8 @@ _ALL_PAIRS_MAX = 64
 _PAIR_CHUNK = 1 << 15
 # optimizer stages above this many sums score the leading ones first
 _SUBSET_SUMS = 1 << 10
-# the checker tries tables over _AXIS_SUMS sums as axis grids, whose levels
-# may lie up to _EVEN_REL steps off even spacing
-_AXIS_SUMS, _EVEN_REL = 25, 1e-6
+# axis-grid levels may lie up to _EVEN_REL steps off even spacing
+_EVEN_REL = 1e-6
 
 # 4-bit presets fail sum-injectivity under the odd-integer QAM convention
 UNVERIFIED_PRESETS = {(3, 4), (4, 4)}
@@ -487,12 +486,13 @@ def check_full_diversity(cs: ConstellationSets) -> DiversityReport:
     min_sum_distance is the minimum over distinct codeword pairs of
     |sum_i dx_i| (the coding-gain metric, 0 when two codewords collide);
     the witness is a pair of per-antenna index tuples attaining it, on an
-    `axis_grid` of over 25 sums the smallest index pair at its least level gap.
+    `axis_grid` of over _ALL_PAIRS_MAX sums the smallest index pair at its
+    least level gap; a smaller table costs less in the all-pairs pass.
     """
     with _SCAN.frame() as alloc:
         sums = sum_constellation(cs, alloc)
         with _SCAN.frame() as grid_alloc:  # released before a scan, which takes its usual slots
-            axes = axis_grid(sums, grid_alloc) if sums.size > _AXIS_SUMS else None
+            axes = axis_grid(sums, grid_alloc) if sums.size > _ALL_PAIRS_MAX else None
             found = axes and _axis_closest(*axes, grid_alloc)
         d, i, j = found or _min_pairwise(sums, alloc)
     n = cs.codebook_size

@@ -13,49 +13,45 @@ distance identity ||H F dx||^2 = ||H||_F^2 * |sum(dx)|^2.
 That sum is Re(e^{-j theta_n} z_n) with z_n = sum_{m<n} G[n, m] e^{j theta_m}
 = h_n^H (sum_{m<n} a_m h_m), column n's conjugate times the partial
 effective channel built so far. `feedback_angles_batch` walks the antennas
-once with that running sum and sets a_n = -j z_n / |z_n| without any
-trigonometry; the finished sum is h_eff = H a. F itself is never formed.
+once with that running sum, straight from the standard normals the channels
+are drawn from: it builds one antenna's column at a time, sets
+a_n = -j z_n / |z_n| without any trigonometry and folds a_n h_n into the
+sum. The decoder needs only the finished sum h_eff = H a, so neither the
+channel batch H, nor the phasors a, nor F is ever formed.
 """
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .channel import antenna_gains, gain_parts
 
 # below this magnitude the zero-crossing constraint for an antenna is vacuous
 _DEGENERATE_EPS = 1e-300
 
 
-def feedback_angles_batch(h: np.ndarray, alloc=np.empty) -> tuple[np.ndarray, np.ndarray]:
-    """Feedback phasors and effective channels of a (B, nr, nt) channel batch.
+def feedback_angles_batch(normals: np.ndarray, nr: int, nt: int, alloc=np.empty) -> np.ndarray:
+    """Effective channels h_eff = H a, (B, nr), of the channels drawn from (B, 2 * nr * nt) normals.
 
-    Returns (a, h_eff): a (B, nt) holds a = exp(1j * theta) with a[:, 0] == 1
-    exactly, and h_eff (B, nr) is H a. For n >= 1, z = h_n^H s with
-    s = sum_{m<n} a_m h_m, and a_n = -1j * z / |z| zeroes Re(conj(a_n) z),
-    the root theta_n = atan2(-Re z, Im z) (theta_2 = alpha[2,1] - pi/2 for
-    n = 1); a_n is exactly 1 where |z| is below `_DEGENERATE_EPS`. With
-    nt = 1 no angle is fed back: a == 1 and h_eff == h[:, :, 0].
-
-    The antennas are read as (nt, B, nr) column blocks, without a copy when
-    h is a view of such an array (as `channel.rayleigh` returns). Every
-    array made here, the results included, comes from alloc(shape, dtype).
+    H is the batch `channel.rayleigh(normals, nr, nt)` returns, but only one
+    antenna's (B, nr) column h_n of it is held at a time, built by the same
+    `channel.antenna_gains` call. With s = sum_{m<n} a_m h_m and a_0 = 1,
+    z = h_n^H s and a_n = -1j * z / |z| zeroes Re(conj(a_n) z), the root
+    theta_n = atan2(-Re z, Im z) (theta_2 = alpha[2,1] - pi/2 for n = 1);
+    a_n is exactly 1 where |z| is below `_DEGENERATE_EPS`. Only the (B,)
+    phasor of the current antenna is kept. With nt = 1 no angle is fed
+    back and h_eff is the one column. Every array made here, the result
+    included, comes from alloc(shape, dtype).
     """
-    if h.ndim != 3:
-        raise ConfigurationError(f"channel batch must be 3-D, got shape {h.shape}")
-    b, nr, nt = h.shape
-    cols = np.moveaxis(h, 2, 0)
-    if not (cols.flags.c_contiguous and cols.dtype == complex):
-        cols = alloc((nt, b, nr), complex)
-        cols[...] = np.moveaxis(h, 2, 0)
-    a = alloc((nt, b), complex)
-    a.fill(1.0)
-    s = alloc((b, nr), complex)
-    s[...] = cols[0]
-    z, mag, ok = alloc((b,), complex), alloc((b,)), alloc((b,), bool)
-    tmp = alloc((b, nr), complex)
+    re, im = gain_parts(normals, nr, nt)
+    b = normals.shape[0]
+    s = antenna_gains(re, im, 0, alloc((b, nr), complex))
+    h, tmp = alloc((b, nr), complex), alloc((b, nr), complex)
+    a, z, mag, ok = alloc((b,), complex), alloc((b,), complex), alloc((b,)), alloc((b,), bool)
     for n in range(1, nt):
-        np.einsum("bo,bo->b", np.conjugate(cols[n], out=tmp), s, out=z)
+        antenna_gains(re, im, n, h)
+        np.einsum("bo,bo->b", np.conjugate(h, out=tmp), s, out=z)
         np.abs(z, out=mag)
-        np.divide(np.multiply(-1j, z, out=z), mag, out=a[n],
+        a.fill(1.0)
+        np.divide(np.multiply(-1j, z, out=z), mag, out=a,
                   where=np.greater_equal(mag, _DEGENERATE_EPS, out=ok))
-        s += np.multiply(a[n][:, None], cols[n], out=tmp)
-    return a.T, s
+        s += np.multiply(a[:, None], h, out=tmp)
+    return s

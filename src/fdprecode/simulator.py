@@ -16,7 +16,11 @@ tile-sized arrays and takes them from the `alloc(shape, dtype)` it is
 passed, here a frame of the engine's `Workspace` (see `workspace`): after a
 thread's first tile, tiles allocate, free and page-fault nothing
 tile-sized. Each trial owns its Philox window and every stage works row by
-row, so counts do not depend on the tile size.
+row, so counts do not depend on the tile size. A proposed-scheme tile hands
+its channel normals to `feedback_angles_batch`, which walks the antennas
+one column at a time and returns only h_eff = H a, so no (nt, B, nr)
+channel batch and no (nt, B) phasors are held; the unprecoded baseline
+builds the `rayleigh` batch its decoder reads.
 
 SNR convention: the grid is average received SNR per receive antenna. For
 the proposed scheme E||H F x||^2 = nt * nr * Es (the rank-one precoder adds
@@ -44,6 +48,7 @@ from .channel import gram_polar, rayleigh, scaled_complex
 from .constellation import ConstellationSets, average_energy, sum_constellation
 from .detector import ExhaustiveDecoder, FastMLDecoder, codeword_matrix
 from .errors import ConfigurationError
+# run_tile calls the walk by this module's name, which perfbench/tracing.py wraps
 from .precoder import feedback_angles_batch
 from .workspace import Workspace
 
@@ -179,7 +184,13 @@ class _Engine:
         with self.workspace.frame() as alloc:
             u = streams.trial_uniforms(cfg.seed, streams.PURPOSE_CER, point_idx, first, count,
                                        cfg.words_per_trial, alloc)
-            h = rayleigh(streams.normal_from_uniform(u[:, :n_h]), nr, nt, alloc)
+            g = streams.normal_from_uniform(u[:, :n_h])  # the channel's normals
+            # the transfer's buffers come right after the draws: in that order the
+            # buffers freed after a call leave the least heap behind (study-nt3 peak RSS)
+            if cfg.scheme == "proposed":
+                transfer = feedback_angles_batch(g, nr, nt, alloc)  # h_eff
+            else:
+                transfer = rayleigh(g, nr, nt, alloc)
             digits = u[:, n_h:n_h + nt]
             np.floor(np.multiply(digits, self.m, out=digits), out=digits)  # u < 1, so each is below m
             # the mixed-radix codeword index, row-major over antennas: exact in floats below 2**53
@@ -193,11 +204,9 @@ class _Engine:
             np.take(self.symbols, true_idx, axis=0, out=x, mode="clip")
             y = alloc((count, nr), complex)
             if cfg.scheme == "proposed":
-                _, transfer = feedback_angles_batch(h, alloc)  # h_eff
                 np.multiply(transfer, x[:, None], out=y)
             else:
-                transfer = h
-                np.einsum("bon,bn->bo", h, x, out=y)
+                np.einsum("bon,bn->bo", transfer, x, out=y)
             y += noise
             decisions = self.decoder.decode_batch(y, transfer, alloc)
             return int(np.count_nonzero(np.not_equal(decisions, true_idx, out=alloc((count,), bool))))

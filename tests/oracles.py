@@ -26,6 +26,24 @@ def precoder(a):
     return np.repeat(a[..., None], a.shape[-1], axis=-1)
 
 
+def feedback_phasors(h):
+    """(a, h_eff) of a (B, nr, nt) channel batch, by the antenna walk the
+    package makes from the normals, keeping every phasor: a (B, nt) with
+    a[:, 0] == 1 and, for n >= 1, z = h_n^H sum_{m<n} a_m h_m and
+    a_n = -1j * z / |z|, exactly 1 where |z| < 1e-300; h_eff (B, nr) is H a."""
+    b, nr, nt = h.shape
+    cols = np.ascontiguousarray(np.moveaxis(h, 2, 0), dtype=complex)
+    a = np.ones((nt, b), complex)
+    s = cols[0].copy()
+    z, mag, ok, tmp = np.empty(b, complex), np.empty(b), np.empty(b, bool), np.empty((b, nr), complex)
+    for n in range(1, nt):
+        np.einsum("bo,bo->b", np.conjugate(cols[n], out=tmp), s, out=z)
+        np.abs(z, out=mag)
+        np.divide(np.multiply(-1j, z, out=z), mag, out=a[n], where=np.greater_equal(mag, 1e-300, out=ok))
+        s += np.multiply(a[n][:, None], cols[n], out=tmp)
+    return a.T, s
+
+
 def phase_residuals(h, theta):
     """(B, nt) inner cosine sums sum_{m<n} rho[n, m] cos(theta_m - theta_n + alpha[n, m])
     of a (B, nr, nt) channel batch at (B, nt) angles, from the polar Gram pair;

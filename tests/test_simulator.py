@@ -260,6 +260,19 @@ def test_a_baseline_tile_sizes_the_point_planes_by_the_largest_set():
     assert sum(nbytes) == 3969024 - 2 * 6 * 4096 * 8  # 384 KB below nine 8-row planes
 
 
+@pytest.mark.parametrize("nt, nr, snr, nbytes", [
+    (16, 1, 50.0, 2740224), (8, 1, 25.0, 1953792), (3, 2, 12.0, 2727936)])
+def test_a_proposed_tile_holds_no_channel_batch_and_no_phasors(nt, nr, snr, nbytes):
+    # the walk holds one (B, nr) column and one (B,) phasor, never the
+    # (nt, B, nr) channel batch or the (nt, B) phasors (2 MB on 16x1)
+    cfg = SimConfig(nr=nr, constellation=preset(nt, 1), snr_grid_db=(snr,),
+                    trials_per_point=1 << 20, seed=0)
+    engine = simulator._Engine(cfg)
+    engine.run_tile(0, cfg.sigma2(snr), 0, simulator._TILE)
+    held = [buf.nbytes for _, _, buf in engine.workspace.slots]
+    assert sum(held) == nbytes <= 2750000
+
+
 def _run_tiles(engine, snr, first):
     """Run 8 consecutive tiles (32768 trials) of the engine's point 0 from trial `first`."""
     for lo in range(first, first + 8 * simulator._TILE, simulator._TILE):
